@@ -141,19 +141,57 @@ def model_label(model):
     return f"common_belief(grid(k={len(belief.nodes)}))"
 
 
+def _whole_number(value, what):
+    """An integer from config JSON: an int, or a float with no fraction."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{what} must be a whole number, got {value!r}")
+    return value
+
+
 def parse_council(cfg):
-    if "states" not in cfg:
+    if not isinstance(cfg.get("states"), list):
         raise UsageError("config needs a 'states' list to define the council")
     states = []
     for entry in cfg["states"]:
+        if not isinstance(entry, dict):
+            raise UsageError(f"state entry must be an object, got {entry!r}")
         try:
-            states.append((entry["name"], int(entry["population"]), parse_model(entry["model"])))
+            states.append((entry["name"], _whole_number(entry["population"], "population"),
+                           parse_model(entry["model"])))
         except KeyError as exc:
             raise UsageError(f"state entry {entry!r} is missing field {exc}") from exc
     try:
         return CouncilSpec(states, quota=float(cfg.get("quota", 0.5)))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def council_to_config(council):
+    return {"quota": council.quota, "states": [
+        {"name": s.name, "population": s.population, "model": model_to_config(s.model)}
+        for s in council.states]}
+
+
+def _council_weights(args, cfg, council):
+    """Weights from --weights, else the config's 'weights' list, else the
+    optimal ones; returned with their source."""
+    if args.weights is not None:
+        raw, source = args.weights.split(","), "explicit"
+    elif "weights" in cfg:
+        raw, source = cfg["weights"], "config"
+        if not isinstance(raw, list):
+            raise UsageError("config 'weights' must be a list of numbers")
+    else:
+        return list(optimal_weights(council).values), "optimal"
+    try:
+        w = [float(x) for x in raw]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"weights must be numbers: {exc}") from exc
+    if len(w) != council.size:
+        raise UsageError(f"expected {council.size} weights, one per state, got {len(w)}")
+    return w, source
 
 
 def parse_grid(text):
@@ -316,13 +354,7 @@ def _cmd_weights(args):
     council = parse_council(cfg)
     rng = RngStream(args.seed)
     wv = optimal_weights(council, samples=args.trials, rng=rng, workers=args.workers)
-    resolved["council"] = {
-        "quota": council.quota,
-        "states": [
-            {"name": s.name, "population": s.population, "model": model_to_config(s.model)}
-            for s in council.states
-        ],
-    }
+    resolved["council"] = council_to_config(council)
     rows = [
         {
             "state": s.name,
@@ -369,25 +401,12 @@ def _cmd_delta(args):
     resolved = _resolve_common(args, cfg, "delta")
     council = parse_council(cfg)
     mode = (args.mode or cfg.get("mode", SEMI_EXACT)).replace("-", "_")
-    if args.weights is not None:
-        try:
-            w = [float(x) for x in args.weights.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"--weights must be comma-separated numbers: {exc}") from exc
-        weight_source = "explicit"
-    elif "weights" in cfg:
-        w = [float(x) for x in cfg["weights"]]
-        weight_source = "config"
-    else:
-        w = list(optimal_weights(council).values)
-        weight_source = "optimal"
+    w, weight_source = _council_weights(args, cfg, council)
     resolved.update({
         "mode": mode,
         "weights": w,
         "weight_source": weight_source,
-        "council": {"quota": council.quota, "states": [
-            {"name": s.name, "population": s.population, "model": model_to_config(s.model)}
-            for s in council.states]},
+        "council": council_to_config(council),
     })
     est = delta_op(council, w, mode=mode, trials=args.trials,
                    rng=RngStream(args.seed), workers=args.workers)
@@ -533,22 +552,12 @@ def _cmd_council_sim(args):
     if args.quota is not None:
         council = CouncilSpec([(s.name, s.population, s.model) for s in council.states],
                               quota=args.quota)
-    if args.weights is not None:
-        w = [float(x) for x in args.weights.split(",")]
-        weight_source = "explicit"
-    elif "weights" in cfg:
-        w = [float(x) for x in cfg["weights"]]
-        weight_source = "config"
-    else:
-        w = list(optimal_weights(council).values)
-        weight_source = "optimal"
+    w, weight_source = _council_weights(args, cfg, council)
     resolved.update({
         "weights": w,
         "weight_source": weight_source,
         "quota": council.quota,
-        "council": {"quota": council.quota, "states": [
-            {"name": s.name, "population": s.population, "model": model_to_config(s.model)}
-            for s in council.states]},
+        "council": council_to_config(council),
     })
     result = council_mod.simulate(council, w, args.trials, RngStream(args.seed),
                                   workers=args.workers)
@@ -572,9 +581,7 @@ def _cmd_compare_rules(args):
     cfg = _load_config(args)
     resolved = _resolve_common(args, cfg, "compare-rules")
     council = parse_council(cfg)
-    resolved["council"] = {"quota": council.quota, "states": [
-        {"name": s.name, "population": s.population, "model": model_to_config(s.model)}
-        for s in council.states]}
+    resolved["council"] = council_to_config(council)
     rows_out = []
     for row in council_mod.compare_weight_rules(council, args.trials, RngStream(args.seed),
                                                 workers=args.workers):

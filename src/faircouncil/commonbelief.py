@@ -13,17 +13,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import xlogy
 from scipy.stats import wasserstein_distance
 
 from . import estimators
 from .core import CommonBelief
 from .measures import (
     DiscreteSymmetric,
+    GriddedDensity,
     PointMassZero,
     UniformSymmetric,
     belief_expectation,
     validate_belief,
+    _log_binom,
 )
 
 LINEAR = "linear"
@@ -57,6 +59,15 @@ def second_moment(belief):
         return belief.a**2 / 3.0
     if isinstance(belief, DiscreteSymmetric):
         return float(sum(w * z * z for z, w in belief.atoms))
+    if isinstance(belief, GriddedDensity):
+        # Simpson's rule per cell is exact for zeta^2 times the
+        # piecewise-linear density that sample_belief draws from
+        z = np.array(belief.nodes)
+        d = np.array(belief.densities)
+        mid = (z[:-1] + z[1:]) / 2.0
+        f = z * z * d
+        cells = f[:-1] + 2.0 * mid * mid * (d[:-1] + d[1:]) + f[1:]
+        return float(np.dot(np.diff(z), cells) / 6.0)
     return float(belief_expectation(belief, np.square))
 
 
@@ -217,7 +228,7 @@ def vote_share_law(belief, n):
     k = 0..N and their mixture probabilities under the belief."""
     validate_belief(belief)
     k = np.arange(n + 1, dtype=float)
-    log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    log_binom = _log_binom(n, k)
 
     def pmf_rows(zs):
         p = (1.0 + np.asarray(zs)[:, None]) / 2.0

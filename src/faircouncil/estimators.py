@@ -2,15 +2,16 @@
 
 The expected margin E|S|, S the total spin of a state, is the quantity that
 fixes the state's fair council weight. Exact evaluation uses the structure
-of each measure (binomial sums, quadrature over shifted binomials, or the
-magnetization law); all binomial terms are assembled in log space so the
-routes stay stable up to the population budget.
+of each measure: a closed form for the binomial moment (one cdf and one pmf
+per success probability, de Moivre's identity), quadrature of that closed
+form over the belief for common-belief mixtures, and the magnetization law
+for the mean-field model.
 """
 
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.stats import binom
 
 from .core import (
     ASYMPTOTIC,
@@ -30,51 +31,34 @@ from .measures import (
     _totals_with_generator,
 )
 
-#: Exact routes cost O(N) (times quadrature nodes for belief mixtures);
-#: refuse populations beyond this by default rather than stalling.
+#: The binomial routes cost O(1) per success probability, but the
+#: mean-field law costs O(N); refuse populations beyond this by default
+#: rather than stalling.
 DEFAULT_POPULATION_BUDGET = 10**7
-
-_CHUNK = 1 << 20
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-#: Binomial sums ignore terms beyond this many standard deviations of the
-#: mean; the dropped tail mass is below 1e-300.
-_TAIL_SIGMAS = 40.0
+def binom_abs_moments(n, ps):
+    """E|2K - n| for K ~ Binomial(n, p), vectorized over p.
 
+    De Moivre's mean-absolute-deviation identity, sum over k <= m of
+    (np - k) P(k) = (n - m) p P(m), gives the closed form
 
-def _binom_window(n, p):
-    if n <= 4096:
-        return 0, n
-    sd = math.sqrt(n * p * (1.0 - p))
-    lo = int(max(0.0, math.floor(n * p - _TAIL_SIGMAS * sd - 32.0)))
-    hi = int(min(n, math.ceil(n * p + _TAIL_SIGMAS * sd + 32.0)))
-    return lo, hi
+        E|2K - n| = 2 (np - c + 2 [(c - np) F(m) + (n - m) p P(m)]),
 
-
-def binom_abs_moments(n, ps, center=0.0):
-    """E|2K - n - center| for K ~ Binomial(n, p), vectorized over p.
-
-    ``center`` may be scalar or per-p. Each sum runs in log space via
-    log-gamma over a window of the binomial support (terms more than 40
-    standard deviations out carry less than 1e-300 of the mass); p = 0 and
-    p = 1 are exact through xlogy.
+    c = n/2, m = floor(c), with F and P the binomial cdf and pmf. The
+    moment is symmetric under p -> 1 - p, so it is evaluated at
+    q = max(p, 1 - p), where F(m) is a lower tail and the bracket is a
+    nonnegative correction to nq - c >= 0; below p = 1/2, F(m) tends to 1
+    and np - c nearly cancels against 2 (c - np) F(m).
     """
-    ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    centers = np.broadcast_to(np.asarray(center, dtype=float), ps.shape)
-    out = np.empty(ps.shape)
-    lg_n = gammaln(n + 1.0)
-    for i, p in enumerate(ps.ravel()):
-        lo, hi = _binom_window(n, p)
-        total = 0.0
-        for blk in range(lo, hi + 1, _CHUNK):
-            k = np.arange(blk, min(blk + _CHUNK, hi + 1), dtype=float)
-            logpmf = (lg_n - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-                      + xlogy(k, p) + xlogy(n - k, 1.0 - p))
-            total += float(np.dot(np.abs(2.0 * k - n - centers.ravel()[i]), np.exp(logpmf)))
-        out.ravel()[i] = total
-    return out
+    q = np.atleast_1d(np.asarray(ps, dtype=float))
+    q = np.maximum(q, 1.0 - q)
+    c = n / 2.0
+    m = n // 2
+    tail = (c - n * q) * binom.cdf(m, n, q) + (n - m) * q * binom.pmf(m, n, q)
+    return 2.0 * (n * q - c + 2.0 * tail)
 
 
 def binom_mean_abs_deviation(n, ps):
@@ -85,8 +69,6 @@ def binom_mean_abs_deviation(n, ps):
     coupling moment E|S - N Z|, which is an absolute deviation about the
     conditional mean.
     """
-    from scipy.stats import binom
-
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     m = np.floor(n * ps)
     upper = binom.cdf(m, n, ps)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import binom
 
 from . import estimators
 from .commonbelief import second_moment
@@ -189,16 +190,13 @@ def state_tie_probability(state):
     if n % 2:
         return 0.0
     model = state.model
-    half = n // 2
-    log_central = math.lgamma(n + 1) - 2.0 * math.lgamma(half + 1)
     if isinstance(model, Independent):
-        return math.exp(log_central - n * math.log(2.0))
+        return float(binom.pmf(n // 2, n, 0.5))
     if isinstance(model, CommonBelief):
         def mass(zs):
-            p = (1.0 + zs) / 2.0
-            return np.power(p * (1.0 - p), half)
+            return binom.pmf(n // 2, n, (1.0 + zs) / 2.0)
 
-        return math.exp(log_central) * float(belief_expectation(model.belief, mass))
+        return float(belief_expectation(model.belief, mass))
     return magnetization_pmf(model.coupling, n).prob_of(0)
 
 

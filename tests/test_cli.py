@@ -276,3 +276,52 @@ class TestCouncilSimCommand:
 
         # a 90% quota rejects nearly everything: disagreement approaches 1/2
         assert disagreement(strict[1]) > disagreement(base[1])
+
+
+def _council_file(tmp_path, text):
+    path = tmp_path / "council.json"
+    path.write_text(text)
+    return str(path)
+
+
+EVEN_BELIEF = {
+    "states": [
+        {"name": "a", "population": 3, "model": {"type": "independent"}},
+        {"name": "b", "population": 2000,
+         "model": {"type": "common_belief", "belief": {"type": "uniform", "a": 1.0}}},
+    ],
+}
+
+
+class TestEvenCommonBeliefCouncil:
+    @pytest.mark.parametrize("cmd", [["delta"], ["compare-rules", "--trials", "2000"]])
+    def test_exits_zero(self, cmd, tmp_path, capsys):
+        path = _council_file(tmp_path, json.dumps(EVEN_BELIEF))
+        assert run(cmd + ["--config", path], capsys)[0] == 0
+
+
+class TestConfigValidation:
+    STATE = '{{"name": "a", "population": {}, "model": {{"type": "independent"}}}}'
+
+    @pytest.mark.parametrize("text", [
+        '{"states": 5}',
+        '{"states": ["x"]}',
+        '{"states": [' + STATE.format("5.7") + "]}",
+        '{"states": [' + STATE.format('"abc"') + "]}",
+        '{"states": [' + STATE.format("1e400") + "]}",
+    ], ids=["states-not-list", "entry-not-object", "fractional", "string", "overflow"])
+    def test_bad_council_is_usage_error(self, text, tmp_path, capsys):
+        code, out, err = run(["weights", "--config", _council_file(tmp_path, text)], capsys)
+        assert code == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cmd,weights", [
+        ("council-sim", "a,b"),
+        ("council-sim", "1,2,3"),
+        ("delta", "1,2,3"),
+    ])
+    def test_bad_weights_are_usage_errors(self, cmd, weights, tmp_path, capsys):
+        path = _council_file(tmp_path, json.dumps(EVEN_BELIEF))
+        code, out, err = run([cmd, "--config", path, "--weights", weights,
+                              "--trials", "100"], capsys)
+        assert code == 1

@@ -226,3 +226,11 @@ class TestFlatLawUniformity:
         for lo in (-1.0, -0.7, -0.35, 0.0, 0.05):
             window = probs[(values >= lo) & (values <= lo + width)].sum()
             assert abs(window - reference) < 3.0 / math.sqrt(n)
+
+
+class TestGriddedSecondMoment:
+    def test_flat_grid_equals_uniform(self):
+        # the flat 11-node grid on [-1, 1] is Uniform(1)
+        nodes = np.linspace(-1.0, 1.0, 11)
+        flat = GriddedDensity(nodes, np.full(11, 0.5))
+        assert second_moment(flat) == pytest.approx(1.0 / 3.0, abs=1e-15)

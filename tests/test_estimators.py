@@ -207,3 +207,12 @@ class TestDispatch:
     def test_monte_carlo_needs_stream(self):
         with pytest.raises(ValueError):
             expected_margin(Independent(), 10, method="monte_carlo")
+
+
+class TestClosedFormKernel:
+    def test_uniform_belief_matches_beta_binomial(self):
+        # under Uniform(1) the yes-count K is uniform on {0..n}
+        for n in (1000, 100_000, 10**7 - 1, 10**7):
+            exact = n * (n + 2) / (2 * (n + 1)) if n % 2 == 0 else (n + 1) / 2
+            value = expected_margin_exact(CommonBelief(UniformSymmetric(1.0)), n).value
+            assert value == pytest.approx(exact, rel=1e-12), n

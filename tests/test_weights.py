@@ -293,3 +293,29 @@ class TestRayScale:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             ray_scale(IND135, [0.0, 0.0, 0.0])
+
+
+class TestEvenCommonBeliefTies:
+    """Even common-belief populations above N = 1025, where the central
+    binomial coefficient C(N, N/2) exceeds the float range."""
+
+    N = 2000
+    COUNCIL = CouncilSpec([
+        ("a", 3, Independent()),
+        ("b", N, CommonBelief(UniformSymmetric(1.0))),
+    ])
+
+    def test_uniform_tie_probability(self):
+        for n in (2000, 100_000, 10**7):
+            tie = state_tie_probability(StateSpec("x", n, CommonBelief(UniformSymmetric(1.0))))
+            assert tie == pytest.approx(1.0 / (n + 1), rel=1e-9), n
+
+    def test_semi_exact_delta_and_ray_scale(self):
+        n = self.N
+        margin = n * (n + 2) / (2 * (n + 1))
+        # one state can tie, so the tie cross-term vanishes
+        expected = (3.0 - 1.5**2) + (n + n * (n - 1) / 3.0 - margin**2)
+        w = optimal_weights(self.COUNCIL)
+        assert w.values[1] == pytest.approx(margin, rel=1e-12)
+        assert delta(self.COUNCIL, w).value == pytest.approx(expected, rel=1e-9)
+        assert ray_scale(self.COUNCIL, w.values) == pytest.approx(1.0, rel=1e-12)
