@@ -20,7 +20,6 @@ from . import estimators
 from .core import CommonBelief
 from .measures import (
     DiscreteSymmetric,
-    GriddedDensity,
     PointMassZero,
     UniformSymmetric,
     belief_expectation,
@@ -59,15 +58,6 @@ def second_moment(belief):
         return belief.a**2 / 3.0
     if isinstance(belief, DiscreteSymmetric):
         return float(sum(w * z * z for z, w in belief.atoms))
-    if isinstance(belief, GriddedDensity):
-        # Simpson's rule per cell is exact for zeta^2 times the
-        # piecewise-linear density that sample_belief draws from
-        z = np.array(belief.nodes)
-        d = np.array(belief.densities)
-        mid = (z[:-1] + z[1:]) / 2.0
-        f = z * z * d
-        cells = f[:-1] + 2.0 * mid * mid * (d[:-1] + d[1:]) + f[1:]
-        return float(np.dot(np.diff(z), cells) / 6.0)
     return float(belief_expectation(belief, np.square))
 
 
@@ -246,8 +236,9 @@ def _belief_atoms(belief):
     """Finite atomic representation of mu for transport distances.
 
     Atomic beliefs are exact; continuous ones are split into equal-width
-    cells (midpoint atoms for uniform, trapezoid masses for gridded), which
-    perturbs the distance by less than 1e-4.
+    cells with midpoint atoms (for gridded beliefs each carrying its cell's
+    mass under the piecewise-linear density), which perturbs the distance
+    by less than 1e-4.
     """
     if isinstance(belief, PointMassZero):
         return np.array([0.0]), np.array([1.0])

@@ -39,41 +39,38 @@ DEFAULT_POPULATION_BUDGET = 10**7
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def binom_abs_moments(n, ps):
-    """E|2K - n| for K ~ Binomial(n, p), vectorized over p.
+def _binom_abs_dev(n, p, t):
+    """E|K - t| for K ~ Binomial(n, p), vectorized over p and t.
 
     De Moivre's mean-absolute-deviation identity, sum over k <= m of
     (np - k) P(k) = (n - m) p P(m), gives the closed form
 
-        E|2K - n| = 2 (np - c + 2 [(c - np) F(m) + (n - m) p P(m)]),
+        E|K - t| = np - t + 2 [(t - np) F(m) + (n - m) p P(m)],
 
-    c = n/2, m = floor(c), with F and P the binomial cdf and pmf. The
-    moment is symmetric under p -> 1 - p, so it is evaluated at
-    q = max(p, 1 - p), where F(m) is a lower tail and the bracket is a
-    nonnegative correction to nq - c >= 0; below p = 1/2, F(m) tends to 1
-    and np - c nearly cancels against 2 (c - np) F(m).
+    m = floor(t), with F and P the binomial cdf and pmf: one cdf and one
+    pmf per p.
+    """
+    m = np.floor(t)
+    tail = (t - n * p) * binom.cdf(m, n, p) + (n - m) * p * binom.pmf(m, n, p)
+    return n * p - t + 2.0 * tail
+
+
+def binom_abs_moments(n, ps):
+    """E|2K - n| for K ~ Binomial(n, p), vectorized over p: twice the
+    deviation about n/2, taken at q = max(p, 1 - p) by symmetry. There F(m)
+    is a lower tail and the bracket a nonnegative correction; below
+    p = 1/2, np - t would nearly cancel against 2 (t - np) F(m).
     """
     q = np.atleast_1d(np.asarray(ps, dtype=float))
-    q = np.maximum(q, 1.0 - q)
-    c = n / 2.0
-    m = n // 2
-    tail = (c - n * q) * binom.cdf(m, n, q) + (n - m) * q * binom.pmf(m, n, q)
-    return 2.0 * (n * q - c + 2.0 * tail)
+    return 2.0 * _binom_abs_dev(n, np.maximum(q, 1.0 - q), n / 2.0)
 
 
 def binom_mean_abs_deviation(n, ps):
-    """E|K - n p| for K ~ Binomial(n, p), via the partial-sum identity
-    E|K - np| = 2 np [F_n(m) - F_{n-1}(m-1)], m = floor(np).
-
-    O(1) per p through the regularized incomplete beta; used for the
-    coupling moment E|S - N Z|, which is an absolute deviation about the
-    conditional mean.
-    """
+    """E|K - n p| for K ~ Binomial(n, p), where the closed form reduces to
+    2 (n - m) p P(m), m = floor(np); the coupling moment E|S - N Z| is this
+    deviation about the conditional mean."""
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    m = np.floor(n * ps)
-    upper = binom.cdf(m, n, ps)
-    lower = binom.cdf(m - 1.0, n - 1, ps) if n > 1 else np.zeros_like(ps)
-    return 2.0 * n * ps * (upper - lower)
+    return _binom_abs_dev(n, ps, n * ps)
 
 
 def _belief_margin(belief, n, rel_tol=1e-10):

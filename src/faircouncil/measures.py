@@ -10,8 +10,8 @@ the votes:
   exp(J S^2 / (2 (N-1))) in the total spin S.
 
 Continuous belief measures are integrated by Gauss-Legendre quadrature with
-node doubling; gridded densities integrate by the trapezoid rule on their
-own nodes.
+node doubling; a gridded density is the piecewise-linear density through
+its nodes, integrated cell by cell.
 """
 
 import math
@@ -70,8 +70,9 @@ class DiscreteSymmetric:
 
 @dataclass(frozen=True)
 class GriddedDensity:
-    """A density tabulated on an ascending grid over [-1, 1], integrated by
-    the trapezoid rule. Symmetry is validated, never silently imposed."""
+    """A density tabulated on an ascending grid over [-1, 1], read as the
+    piecewise-linear density through the nodes. Symmetry is validated,
+    never silently imposed."""
 
     nodes: tuple
     densities: tuple
@@ -155,18 +156,31 @@ def _leggauss(n):
     return _leggauss_cache[n]
 
 
+def _half_line_cells(belief):
+    """Rows (lower edge, width, density at both ends) of the cells of a
+    continuous belief on z >= 0: one flat cell for a uniform belief, and
+    the piecewise-linear density through a grid's nodes, split at zero."""
+    if isinstance(belief, UniformSymmetric):
+        return np.array([[0.0, belief.a, 0.5 / belief.a, 0.5 / belief.a]])
+    nodes = np.array(belief.nodes)
+    edges = np.union1d(0.0, nodes[nodes > 0.0])
+    rho = np.interp(edges, nodes, belief.densities)
+    return np.column_stack([edges[:-1], np.diff(edges), rho[:-1], rho[1:]])
+
+
 def belief_expectation(belief, f, rel_tol=QUAD_REL_TOL):
     """Integrate a (possibly vector-valued) function of zeta against mu.
 
     ``f`` takes an array of zeta values and returns an array whose leading
-    axis matches it. Atomic measures are summed exactly; uniform measures
-    use Gauss-Legendre with doubling until successive node counts agree to
-    ``rel_tol``; gridded densities use the trapezoid rule on their grid.
+    axis matches it. Atomic measures are summed exactly; uniform and
+    gridded ones use Gauss-Legendre on the cells of their piecewise-linear
+    density, nodes spread by cell width and doubled until successive counts
+    agree to ``rel_tol``.
 
-    Because mu is symmetric, the uniform rule integrates the symmetrized
-    integrand (f(z) + f(-z))/2 over [0, a]: the expectation is unchanged
-    and the node placement resolves the 1/sqrt(N) feature that margin-type
-    integrands develop at z = 0.
+    Because mu is symmetric, the rule integrates the symmetrized integrand
+    f(z) + f(-z) over z >= 0: the expectation is unchanged and the node
+    placement resolves the 1/sqrt(N) feature that margin-type integrands
+    develop at z = 0.
     """
     validate_belief(belief)
     if isinstance(belief, PointMassZero):
@@ -174,22 +188,21 @@ def belief_expectation(belief, f, rel_tol=QUAD_REL_TOL):
     if isinstance(belief, DiscreteSymmetric):
         zs = np.array([z for z, _ in belief.atoms])
         ws = np.array([w for _, w in belief.atoms])
-        vals = f(zs)
-        return np.tensordot(ws, vals, axes=(0, 0))
-    if isinstance(belief, GriddedDensity):
-        nodes = np.array(belief.nodes)
-        dens = np.array(belief.densities)
-        vals = f(nodes)
-        weighted = vals * dens.reshape((-1,) + (1,) * (vals.ndim - 1))
-        return np.trapezoid(weighted, nodes, axis=0)
-    a = belief.a
+        return np.tensordot(ws, f(zs), axes=(0, 0))
+    cells = _half_line_cells(belief)
+    span = cells[:, 1].sum()
     prev = None
     n = QUAD_START_NODES
     while True:
-        x, w = _leggauss(n)
-        z = a * (x + 1.0) / 2.0
-        # weights w * a/2 (Jacobian) * 1/(2a) (density) * both half-lines
-        cur = np.tensordot(w / 4.0, f(z) + f(-z), axes=(0, 0))
+        zs, ws = [], []
+        for lo, width, r0, r1 in cells:
+            x, w = _leggauss(math.ceil(n * width / span))
+            t = (x + 1.0) / 2.0
+            zs.append(lo + width * t)
+            # weights w * width/2 (Jacobian) * the linear density on the cell
+            ws.append(w * width / 2.0 * (r0 + (r1 - r0) * t))
+        z = np.concatenate(zs)
+        cur = np.tensordot(np.concatenate(ws), f(z) + f(-z), axes=(0, 0))
         if prev is not None:
             err = np.max(np.abs(cur - prev))
             if err <= rel_tol * max(1.0, float(np.max(np.abs(cur)))):

@@ -325,3 +325,20 @@ class TestConfigValidation:
         code, out, err = run([cmd, "--config", path, "--weights", weights,
                               "--trials", "100"], capsys)
         assert code == 1
+
+
+V_GRID = {
+    "states": [
+        {"name": "a", "population": 5, "model": {"type": "independent"}},
+        {"name": "b", "population": 3,
+         "model": {"type": "common_belief",
+                   "belief": {"type": "grid", "nodes": [-1.0, 0.0, 1.0],
+                              "densities": [1.0, 0.0, 1.0]}}},
+    ],
+}
+
+
+class TestGriddedCouncil:
+    def test_delta_exits_zero(self, tmp_path, capsys):
+        path = _council_file(tmp_path, json.dumps(V_GRID))
+        assert run(["delta", "--config", path], capsys)[0] == 0

@@ -19,7 +19,9 @@ from faircouncil import (
     second_moment,
 )
 from faircouncil.commonbelief import vote_share_law
+from faircouncil.estimators import expected_margin_exact
 from faircouncil.measures import belief_expectation, pmf_exact
+from faircouncil.weights import StateSpec, state_tie_probability
 
 from oracles import all_outcomes
 
@@ -228,9 +230,25 @@ class TestFlatLawUniformity:
             assert abs(window - reference) < 3.0 / math.sqrt(n)
 
 
-class TestGriddedSecondMoment:
-    def test_flat_grid_equals_uniform(self):
-        # the flat 11-node grid on [-1, 1] is Uniform(1)
-        nodes = np.linspace(-1.0, 1.0, 11)
-        flat = GriddedDensity(nodes, np.full(11, 0.5))
-        assert second_moment(flat) == pytest.approx(1.0 / 3.0, abs=1e-15)
+class TestFlatGridIsUniform:
+    """The flat 11-node grid on [-1, 1] is Uniform(1) as a piecewise-linear
+    density; its exact routes must give the beta-binomial values."""
+
+    FLAT = GriddedDensity(np.linspace(-1.0, 1.0, 11), np.full(11, 0.5))
+
+    def test_second_moment(self):
+        assert second_moment(self.FLAT) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [10, 1000, 100_000])
+    def test_margin_and_tie(self, n):
+        model = CommonBelief(self.FLAT)
+        # S/2 + N/2 is uniform on 0..N
+        margin = n * (n + 2) / (2 * (n + 1))
+        assert expected_margin_exact(model, n).value == pytest.approx(margin, rel=1e-12)
+        tie = state_tie_probability(StateSpec("g", n, model))
+        assert tie == pytest.approx(1.0 / (n + 1), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_vote_share_law(self, n):
+        _, probs = vote_share_law(self.FLAT, n)
+        assert np.max(np.abs(probs * (n + 1) - 1.0)) < 1e-10

@@ -8,6 +8,7 @@ import pytest
 from faircouncil import (
     CommonBelief,
     DiscreteSymmetric,
+    GriddedDensity,
     Independent,
     MeanField,
     PointMassZero,
@@ -140,6 +141,13 @@ class TestMonteCarlo:
         assert expected_margin_exact(CommonBelief(UniformSymmetric(1.0)), 1000).value == pytest.approx(
             E_ABS_CB_U1_1000, rel=1e-10
         )
+
+    def test_gridded_belief_matches_exact(self):
+        # the sampler and the exact route read one piecewise-linear density
+        nodes = np.linspace(-1.0, 1.0, 9)
+        model = CommonBelief(GriddedDensity(nodes, 1.0 - np.abs(nodes)))
+        est = expected_margin_mc(model, 1000, 100_000, RngStream(45))
+        assert abs(est.value - expected_margin_exact(model, 1000).value) <= 4 * est.std_error
 
     def test_deterministic_for_fixed_stream_layout(self):
         a = expected_margin_mc(Independent(), 64, 10_000, RngStream(7), workers=3)

@@ -17,6 +17,7 @@ from faircouncil import (
     CommonBelief,
     CouncilSpec,
     DiscreteSymmetric,
+    GriddedDensity,
     Independent,
     MeanField,
     RngStream,
@@ -319,3 +320,21 @@ class TestEvenCommonBeliefTies:
         assert w.values[1] == pytest.approx(margin, rel=1e-12)
         assert delta(self.COUNCIL, w).value == pytest.approx(expected, rel=1e-9)
         assert ray_scale(self.COUNCIL, w.values) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestGriddedDeficit:
+    """A gridded belief is one piecewise-linear law for E S^2, E|S| and
+    P(S=0), so at the optimal weights of odd populations the semi-exact
+    deficit is the sum of the states' variances of |S|."""
+
+    V = GriddedDensity([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+
+    def test_semi_exact_delta_at_optimal_weights(self):
+        for n in (3, 11, 101, 1001):
+            council = CouncilSpec([("a", 5, Independent()), ("b", n, CommonBelief(self.V))])
+            w = optimal_weights(council)
+            # E zeta^2 = 1/2 under the density |zeta|
+            seconds = np.array([5.0, n + n * (n - 1) / 2.0])
+            expected = float(np.sum(seconds - np.square(w.values)))
+            assert expected > 0.0
+            assert delta(council, w).value == pytest.approx(expected, rel=1e-9), n
