@@ -26,7 +26,7 @@ from .commonbelief import (
     margin_bound_check,
     mu_bar,
 )
-from .core import EXACT, CommonBelief, Independent, MeanField, RngStream
+from .core import EXACT, MONTE_CARLO, CommonBelief, Independent, MeanField, RngStream
 from .measures import (
     DiscreteSymmetric,
     GriddedDensity,
@@ -157,6 +157,8 @@ def parse_council(cfg):
     for entry in cfg["states"]:
         if not isinstance(entry, dict):
             raise UsageError(f"state entry must be an object, got {entry!r}")
+        if not isinstance(entry.get("name", ""), str):
+            raise UsageError(f"state name must be a string, got {entry['name']!r}")
         try:
             states.append((entry["name"], _whole_number(entry["population"], "population"),
                            parse_model(entry["model"])))
@@ -343,6 +345,13 @@ def _resolve_common(args, cfg, subcommand):
     return resolved
 
 
+def _require_trials(args, least):
+    """Monte Carlo routes need ``least`` trials: 1 to simulate, 2 for a
+    standard error."""
+    if args.trials < least:
+        raise UsageError(f"--trials must be >= {least}, got {args.trials}")
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -378,15 +387,20 @@ def _cmd_margin(args):
     n = args.N if args.N is not None else cfg.get("population")
     if n is None:
         raise UsageError("margin needs --N")
+    n = _whole_number(n, "population")
+    if n < 1:
+        raise UsageError(f"--N must be >= 1, got {n}")
     method = (args.method or cfg.get("method", EXACT)).replace("-", "_")
-    resolved.update({"model": model_to_config(model), "population": int(n), "method": method})
+    if method == MONTE_CARLO:
+        _require_trials(args, 2)
+    resolved.update({"model": model_to_config(model), "population": n, "method": method})
     est = estimators.expected_margin(
-        model, int(n), method=method, samples=args.trials,
+        model, n, method=method, samples=args.trials,
         rng=RngStream(args.seed), workers=args.workers,
     )
     rows = [{
         "model": model_label(model),
-        "N": int(n),
+        "N": n,
         "method": est.method,
         "value": est.value,
         "std_error": est.std_error,
@@ -401,6 +415,8 @@ def _cmd_delta(args):
     resolved = _resolve_common(args, cfg, "delta")
     council = parse_council(cfg)
     mode = (args.mode or cfg.get("mode", SEMI_EXACT)).replace("-", "_")
+    if mode == MONTE_CARLO:
+        _require_trials(args, 2)
     w, weight_source = _council_weights(args, cfg, council)
     resolved.update({
         "mode": mode,
@@ -421,6 +437,8 @@ def _cmd_scaling(args):
     resolved = _resolve_common(args, cfg, "scaling")
     grid = parse_grid(args.grid if args.grid is not None else cfg.get("grid", "256:16384:x2"))
     method = (args.method or cfg.get("method", EXACT)).replace("-", "_")
+    if method == MONTE_CARLO:
+        _require_trials(args, 2)
     if (args.model or cfg.get("model_name")) in ("straffin", None) and (
         args.beta is not None or cfg.get("family", {}).get("type") == "straffin"
     ):
@@ -548,6 +566,7 @@ def _cmd_distribution(args):
 def _cmd_council_sim(args):
     cfg = _load_config(args)
     resolved = _resolve_common(args, cfg, "council-sim")
+    _require_trials(args, 1)
     council = parse_council(cfg)
     if args.quota is not None:
         council = CouncilSpec([(s.name, s.population, s.model) for s in council.states],
@@ -580,6 +599,7 @@ def _cmd_council_sim(args):
 def _cmd_compare_rules(args):
     cfg = _load_config(args)
     resolved = _resolve_common(args, cfg, "compare-rules")
+    _require_trials(args, 1)
     council = parse_council(cfg)
     resolved["council"] = council_to_config(council)
     rows_out = []

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MONTE_CARLO, majority_sign, signs, split_budget
-from .measures import _totals_with_generator
+from .core import majority_sign
 from .weights import (
     DeltaEstimate,
     _as_weights,
+    _council_trials,
     delta,
     optimal_weights,
     ray_scale,
@@ -82,48 +82,14 @@ def simulate(council, weights, trials, rng, workers=1):
     w = _as_weights(weights, council)
     if np.any(w < 0.0):
         raise ValueError("council weights must be >= 0")
-    n_states = council.size
-    quota = council.quota
-    total_w = float(w.sum())
-    threshold = (2.0 * quota - 1.0) * total_w
-
-    count = 0
-    sq_sum = 0.0
-    sq_sumsq = 0.0
-    disagree = 0
-    popular_margin_sum = 0.0
-    yes_counts = np.zeros(n_states, dtype=np.int64)
-
-    for k, chunk in enumerate(split_budget(trials, workers)):
-        if chunk == 0:
-            continue
-        gen = rng.worker(k)
-        popular = np.zeros(chunk)
-        council_sum = np.zeros(chunk)
-        for i, state in enumerate(council.states):
-            totals = _totals_with_generator(state.model, state.population, chunk, gen)
-            xi = signs(totals)
-            yes_counts[i] += int(np.count_nonzero(xi > 0))
-            popular += totals
-            council_sum += w[i] * xi
-        gap_sq = (popular - council_sum) ** 2
-        sq_sum += float(gap_sq.sum())
-        sq_sumsq += float((gap_sq**2).sum())
-        accept = council_sum > 0.0 if quota == 0.5 else council_sum >= threshold
-        decision = np.where(accept, 1, -1)
-        disagree += int(np.count_nonzero(decision != signs(popular)))
-        popular_margin_sum += float(np.abs(popular).sum())
-        count += chunk
-
-    mean_sq = sq_sum / count
-    var_sq = max(sq_sumsq - count * mean_sq**2, 0.0) / max(count - 1, 1)
+    estimate, disagree, margin_sum, yes_counts = _council_trials(council, w, trials, rng, workers)
+    count = estimate.trials
     rate = disagree / count
     return SimulationResult(
-        delta=DeltaEstimate(value=mean_sq, method=MONTE_CARLO,
-                            std_error=math.sqrt(var_sq / count), trials=count),
+        delta=estimate,
         disagreement_rate=rate,
         disagreement_std_error=math.sqrt(max(rate * (1.0 - rate), 0.0) / count),
-        mean_popular_margin=popular_margin_sum / count,
+        mean_popular_margin=margin_sum / count,
         trials=count,
         per_state_yes_rates=tuple(yes_counts / count),
     )

@@ -5,7 +5,8 @@ fixes the state's fair council weight. Exact evaluation uses the structure
 of each measure: a closed form for the binomial moment (one cdf and one pmf
 per success probability, de Moivre's identity), quadrature of that closed
 form over the belief for common-belief mixtures, and the magnetization law
-for the mean-field model.
+for the mean-field model. Monte Carlo draws every worker substream from one
+``measures.totals_sampler``, built once per call.
 """
 
 import math
@@ -27,8 +28,8 @@ from . import meanfield
 from .measures import (
     belief_expectation,
     magnetization_pmf,
+    totals_sampler,
     validate_model,
-    _totals_with_generator,
 )
 
 #: The binomial routes cost O(1) per success probability, but the
@@ -121,20 +122,21 @@ def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):
 def expected_margin_mc(model, n, samples, rng, workers=1):
     """Monte Carlo E|S| from ``samples`` independent outcomes.
 
-    The sample budget is split over ``workers`` disjoint substreams of
-    ``rng`` and merged by pooled mean/variance, so a rerun with the same
+    The model's sampler is built once; the sample budget is split over
+    ``workers`` disjoint substreams of ``rng``, drawn in turn from it, and
+    merged by pooled mean/variance, so a rerun with the same
     (seed, stream_id, workers) reproduces the estimate bit for bit.
     """
-    validate_model(model)
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
+    draw = totals_sampler(model, n)
     count = 0
     total = 0.0
     total_sq = 0.0
     for k, chunk in enumerate(split_budget(samples, workers)):
         if chunk == 0:
             continue
-        margins = np.abs(_totals_with_generator(model, n, chunk, rng.worker(k))).astype(float)
+        margins = np.abs(draw(rng.worker(k), chunk)).astype(float)
         count += chunk
         total += float(margins.sum())
         total_sq += float((margins**2).sum())

@@ -11,7 +11,9 @@ the votes:
 
 Continuous belief measures are integrated by Gauss-Legendre quadrature with
 node doubling; a gridded density is the piecewise-linear density through
-its nodes, integrated cell by cell.
+its nodes, integrated cell by cell. ``totals_sampler`` builds a total-spin
+sampler once per (model, N); Monte Carlo callers draw every worker
+substream's chunk from it.
 """
 
 import math
@@ -240,10 +242,11 @@ def _log_binom(n, k):
 
 
 def _meanfield_log_weights(coupling, n):
-    """Log of binomial(n, k) * exp(J s^2 / (2(n-1))) over k = 0..n."""
-    k = np.arange(n + 1)
-    s = 2.0 * k - n
-    return _log_binom(n, k) + coupling * s**2 / (2.0 * (n - 1))
+    """Log of binomial(n, k) * exp(J s^2 / (2(n-1))) over k = 0..n; the
+    log-binomial comes from one gammaln pass, lg[n] - lg[k] - lg[n - k]."""
+    lg = gammaln(np.arange(n + 1) + 1.0)
+    s = 2.0 * np.arange(n + 1) - n
+    return lg[n] - lg - lg[::-1] + coupling * s**2 / (2.0 * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -275,9 +278,9 @@ def magnetization_pmf(coupling, n):
         raise ValueError("coupling must be >= 0")
     if n < 2:
         raise ValueError("magnetization pmf needs n >= 2")
-    logw = _meanfield_log_weights(coupling, n)
-    logz = logsumexp(logw)
-    probs = np.exp(logw - logz)
+    probs = _meanfield_log_weights(coupling, n)
+    probs -= logsumexp(probs)
+    np.exp(probs, out=probs)
     support = 2 * np.arange(n + 1) - n
     return MagnetizationPmf(n=n, support=support, probs=probs)
 
@@ -351,20 +354,35 @@ def sample_belief(belief, gen, size):
     return nodes[cell] + t * widths[cell]
 
 
-def _totals_with_generator(model, n, size, gen):
-    """Vectorized draws of the total spin S = sum of votes."""
+def totals_sampler(model, n):
+    """A sampler ``draw(gen, size)`` of total spins S = sum of votes.
+
+    Everything that depends only on (model, n) is built here, once: for the
+    mean field that is the cdf of the magnetization law, inverted by the
+    same cumsum/searchsorted steps as ``gen.choice(support, p=probs)``, so
+    the draws are bit-identical to it without re-checking the O(N) law on
+    every call.
+    """
     validate_model(model)
     if n < 1:
         raise ValueError("population must be >= 1")
-    if isinstance(model, Independent):
-        return 2 * gen.binomial(n, 0.5, size=size).astype(np.int64) - n
     if isinstance(model, CommonBelief):
-        zs = sample_belief(model.belief, gen, size)
-        return 2 * gen.binomial(n, (1.0 + zs) / 2.0).astype(np.int64) - n
-    if n == 1:
-        return 2 * gen.binomial(1, 0.5, size=size).astype(np.int64) - 1
-    pmf = magnetization_pmf(model.coupling, n)
-    return gen.choice(pmf.support, p=pmf.probs, size=size).astype(np.int64)
+        def draw(gen, size):
+            zs = sample_belief(model.belief, gen, size)
+            return 2 * gen.binomial(n, (1.0 + zs) / 2.0).astype(np.int64) - n
+
+        return draw
+    if isinstance(model, Independent) or n == 1:
+        # a single mean-field voter has no pair interaction
+        return lambda gen, size: 2 * gen.binomial(n, 0.5, size=size).astype(np.int64) - n
+    cdf = np.cumsum(magnetization_pmf(model.coupling, n).probs)
+    cdf /= cdf[-1]
+    return lambda gen, size: 2 * cdf.searchsorted(gen.random(size), side="right") - n
+
+
+def _totals_with_generator(model, n, size, gen):
+    """Vectorized draws of the total spin S = sum of votes."""
+    return totals_sampler(model, n)(gen, size)
 
 
 def sample_totals(model, n, size, rng):

@@ -37,8 +37,8 @@ from .measures import (
     belief_expectation,
     magnetization_pmf,
     pmf_exact,
+    totals_sampler,
     validate_model,
-    _totals_with_generator,
 )
 
 SEMI_EXACT = "semi_exact"
@@ -271,33 +271,42 @@ def _delta_semi_exact(council, weights):
     return DeltaEstimate(value=value, method=SEMI_EXACT)
 
 
-def _delta_monte_carlo(council, weights, trials, rng, workers):
-    if rng is None:
-        raise ValueError("Monte Carlo deficits need an RngStream")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    w = np.asarray(weights)
-    count = 0
-    total = 0.0
-    total_sq = 0.0
+def _council_trials(council, w, trials, rng, workers):
+    """The one Monte Carlo loop over councils. Each state's sampler is built
+    once; the trials are partitioned over worker substreams, each drawing
+    the states in council order, so fixed (seed, workers) reproduces every
+    number. Returns the deficit estimate, the number of trials whose council
+    decision disagrees with the popular vote, the summed popular margin
+    |P| and the per-state counts of delegate yes votes."""
+    samplers = [totals_sampler(s.model, s.population) for s in council.states]
+    threshold = (2.0 * council.quota - 1.0) * float(w.sum())
+    count = disagree = 0
+    sq_sum = sq_sumsq = margin_sum = 0.0
+    yes_counts = np.zeros(council.size, dtype=np.int64)
     for k, chunk in enumerate(split_budget(trials, workers)):
         if chunk == 0:
             continue
         gen = rng.worker(k)
         popular = np.zeros(chunk)
         council_sum = np.zeros(chunk)
-        for state, wv in zip(council.states, w):
-            totals = _totals_with_generator(state.model, state.population, chunk, gen)
+        for i, draw in enumerate(samplers):
+            totals = draw(gen, chunk)
+            xi = signs(totals)
+            yes_counts[i] += int(np.count_nonzero(xi > 0))
             popular += totals
-            council_sum += wv * signs(totals)
-        sq = (popular - council_sum) ** 2
+            council_sum += w[i] * xi
+        gap_sq = (popular - council_sum) ** 2
+        sq_sum += float(gap_sq.sum())
+        sq_sumsq += float((gap_sq**2).sum())
+        accept = council_sum > 0.0 if council.quota == 0.5 else council_sum >= threshold
+        disagree += int(np.count_nonzero(accept != (popular > 0.0)))
+        margin_sum += float(np.abs(popular).sum())
         count += chunk
-        total += float(sq.sum())
-        total_sq += float((sq**2).sum())
-    mean = total / count
-    var = max(total_sq - count * mean**2, 0.0) / (count - 1)
-    return DeltaEstimate(value=mean, method=MONTE_CARLO,
-                         std_error=math.sqrt(var / count), trials=count)
+    mean = sq_sum / count
+    var = max(sq_sumsq - count * mean**2, 0.0) / max(count - 1, 1)
+    estimate = DeltaEstimate(value=mean, method=MONTE_CARLO,
+                             std_error=math.sqrt(var / count), trials=count)
+    return estimate, disagree, margin_sum, yes_counts
 
 
 def delta(council, weights, mode=SEMI_EXACT, trials=100_000, rng=None, workers=1):
@@ -315,7 +324,11 @@ def delta(council, weights, mode=SEMI_EXACT, trials=100_000, rng=None, workers=1
     if mode == SEMI_EXACT:
         return _delta_semi_exact(council, w)
     if mode == MONTE_CARLO:
-        return _delta_monte_carlo(council, w, trials, rng, workers)
+        if rng is None:
+            raise ValueError("Monte Carlo deficits need an RngStream")
+        if trials < 2:
+            raise ValueError("need at least 2 trials")
+        return _council_trials(council, w, trials, rng, workers)[0]
     raise ValueError(f"unknown deficit mode {mode!r}")
 
 

@@ -342,3 +342,27 @@ class TestGriddedCouncil:
     def test_delta_exits_zero(self, tmp_path, capsys):
         path = _council_file(tmp_path, json.dumps(V_GRID))
         assert run(["delta", "--config", path], capsys)[0] == 0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", [
+        ["margin", "--model", "independent", "--N", "0"],
+        ["margin", "--model", "independent", "--N", "5", "--method", "monte-carlo",
+         "--trials", "1"],
+        ["delta", "--mode", "monte-carlo", "--trials", "1"],
+        ["council-sim", "--trials", "0"],
+        ["compare-rules", "--trials", "0"],
+    ], ids=["margin-N0", "margin-mc-trials1", "delta-mc-trials1", "sim-trials0",
+            "rules-trials0"])
+    def test_out_of_range_flags(self, args, union_config, capsys):
+        if args[0] != "margin":
+            args = args + ["--config", union_config]
+        code, out, err = run(args, capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_state_name_must_be_a_string(self, tmp_path, capsys):
+        text = '{"states": [{"name": ["x"], "population": 3, "model": {"type": "independent"}}]}'
+        code, out, err = run(["weights", "--config", _council_file(tmp_path, text)], capsys)
+        assert code == 1
+        assert "state name must be a string" in err

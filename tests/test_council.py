@@ -5,10 +5,12 @@ import math
 import pytest
 
 from faircouncil import (
+    CommonBelief,
     CouncilSpec,
     Independent,
     MeanField,
     RngStream,
+    UniformSymmetric,
     compare_weight_rules,
     council_decision,
     delta,
@@ -187,3 +189,28 @@ class TestCompareRules:
         rows = {r.rule: r for r in compare_weight_rules(IND135, 5_000, RngStream(29))}
         for rule, row in rows.items():
             assert row.delta_semi_exact >= rows["optimal"].delta_semi_exact - 1e-12
+
+
+MIXED = CouncilSpec([
+    ("ind", 6, Independent()),
+    ("mf", 9, MeanField(1.5)),
+    ("cb", 8, CommonBelief(UniformSymmetric(0.6))),
+])
+
+
+class TestOneMonteCarloLoop:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_monte_carlo_delta_is_the_simulated_deficit(self, workers):
+        w = [2.0, 5.5, 3.0]
+        est = delta(MIXED, w, mode="monte_carlo", trials=5000, rng=RngStream(50, 4),
+                    workers=workers)
+        assert est == simulate(MIXED, w, 5000, RngStream(50, 4), workers=workers).delta
+
+    def test_fewer_trials_than_workers(self):
+        w = [2.0, 5.5, 3.0]
+        one = simulate(MIXED, w, 1, RngStream(51), workers=3)
+        assert one.trials == one.delta.trials == 1
+        assert one.delta.std_error == 0.0
+        two = delta(MIXED, w, mode="monte_carlo", trials=2, rng=RngStream(51), workers=3)
+        assert two.trials == 2
+        assert two == simulate(MIXED, w, 2, RngStream(51), workers=3).delta

@@ -21,7 +21,14 @@ from faircouncil import (
     sample,
     sample_totals,
 )
-from faircouncil.measures import belief_expectation, sample_outcomes, validate_belief
+from faircouncil.measures import (
+    _log_binom,
+    _meanfield_log_weights,
+    belief_expectation,
+    sample_outcomes,
+    totals_sampler,
+    validate_belief,
+)
 
 from oracles import all_outcomes, meanfield_pmf_by_pair_energy
 
@@ -265,3 +272,30 @@ class TestSamplers:
         assert abs(zs.mean()) <= 4 * zs.std(ddof=1) / math.sqrt(len(zs))
         assert np.abs(zs).mean() == pytest.approx(1.0 / 3.0, abs=0.004)
         assert (zs**2).mean() == pytest.approx(1.0 / 6.0, abs=0.004)
+
+
+class TestTotalsSampler:
+    @pytest.mark.parametrize("coupling", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [2, 7, 1001, 10**5])
+    def test_meanfield_draws_match_choice(self, coupling, n):
+        # the sampler inverts the law's cdf exactly as Generator.choice does
+        pmf = magnetization_pmf(coupling, n)
+        gen_a = RngStream(40, n).generator()
+        gen_b = RngStream(40, n).generator()
+        expected = gen_a.choice(pmf.support, p=pmf.probs, size=5000)
+        drawn = totals_sampler(MeanField(coupling), n)(gen_b, 5000)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, expected)
+        # and leaves the generator where choice leaves it
+        assert np.array_equal(gen_a.random(8), gen_b.random(8))
+
+    @pytest.mark.parametrize("coupling", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [2, 7, 1001, 10**5])
+    def test_meanfield_log_weights_match_log_binomial(self, coupling, n):
+        s = 2.0 * np.arange(n + 1) - n
+        reference = _log_binom(n, np.arange(n + 1)) + coupling * s**2 / (2.0 * (n - 1))
+        assert np.array_equal(_meanfield_log_weights(coupling, n), reference)
+
+    def test_rejects_empty_population(self):
+        with pytest.raises(ValueError):
+            totals_sampler(MeanField(1.0), 0)
