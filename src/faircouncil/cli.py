@@ -34,7 +34,7 @@ from .measures import (
     UniformSymmetric,
 )
 from .selftest import run_selftest
-from .weights import SEMI_EXACT, CouncilSpec, delta as delta_op, optimal_weights
+from .weights import SEMI_EXACT, CouncilSpec, council_moments, delta as delta_op, optimal_weights
 
 
 class UsageError(Exception):
@@ -177,8 +177,8 @@ def council_to_config(council):
 
 
 def _council_weights(args, cfg, council):
-    """Weights from --weights, else the config's 'weights' list, else the
-    optimal ones; returned with their source."""
+    """Weights from --weights, else the config's 'weights' list, else None
+    for the optimal ones; returned with their source."""
     if args.weights is not None:
         raw, source = args.weights.split(","), "explicit"
     elif "weights" in cfg:
@@ -186,7 +186,7 @@ def _council_weights(args, cfg, council):
         if not isinstance(raw, list):
             raise UsageError("config 'weights' must be a list of numbers")
     else:
-        return list(optimal_weights(council).values), "optimal"
+        return None, "optimal"
     try:
         w = [float(x) for x in raw]
     except (TypeError, ValueError) as exc:
@@ -198,6 +198,8 @@ def _council_weights(args, cfg, council):
 
 def parse_grid(text):
     """Population grids: 'lo:hi:xF' (geometric) or 'lo:hi:+D' (arithmetic)."""
+    if not isinstance(text, str):
+        raise UsageError(f"grid must be a string like lo:hi:x2, got {text!r}")
     try:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi = int(lo_s), int(hi_s)
@@ -357,32 +359,21 @@ def _require_trials(args, least):
 # --------------------------------------------------------------------------
 
 
-def _cmd_weights(args):
-    cfg = _load_config(args)
-    resolved = _resolve_common(args, cfg, "weights")
+def _cmd_weights(args, cfg, resolved):
     council = parse_council(cfg)
+    if any(s.population > estimators.DEFAULT_POPULATION_BUDGET for s in council.states):
+        _require_trials(args, 2)  # those states fall back to Monte Carlo
     rng = RngStream(args.seed)
     wv = optimal_weights(council, samples=args.trials, rng=rng, workers=args.workers)
     resolved["council"] = council_to_config(council)
-    rows = [
-        {
-            "state": s.name,
-            "population": s.population,
-            "model": model_label(s.model),
-            "expected_margin": m.value,
-            "weight_raw": raw,
-            "weight_normalized": norm,
-        }
-        for s, m, raw, norm in zip(council.states, wv.margins, wv.values, wv.normalized)
-    ]
     fields = ["state", "population", "model", "expected_margin", "weight_raw", "weight_normalized"]
+    rows = [dict(zip(fields, (s.name, s.population, model_label(s.model), m.value, raw, norm)))
+            for s, m, raw, norm in zip(council.states, wv.margins, wv.values, wv.normalized)]
     _emit(args, resolved, fields, rows)
     return 0
 
 
-def _cmd_margin(args):
-    cfg = _load_config(args)
-    resolved = _resolve_common(args, cfg, "margin")
+def _cmd_margin(args, cfg, resolved):
     model = _model_from_args(args, cfg)
     n = args.N if args.N is not None else cfg.get("population")
     if n is None:
@@ -410,31 +401,30 @@ def _cmd_margin(args):
     return 0
 
 
-def _cmd_delta(args):
-    cfg = _load_config(args)
-    resolved = _resolve_common(args, cfg, "delta")
+def _cmd_delta(args, cfg, resolved):
     council = parse_council(cfg)
     mode = (args.mode or cfg.get("mode", SEMI_EXACT)).replace("-", "_")
     if mode == MONTE_CARLO:
         _require_trials(args, 2)
     w, weight_source = _council_weights(args, cfg, council)
+    table = council_moments(council) if w is None and mode == SEMI_EXACT else None
+    if w is None:
+        w = [float(m) for m in table.margins] if table else list(optimal_weights(council).values)
     resolved.update({
         "mode": mode,
         "weights": w,
         "weight_source": weight_source,
         "council": council_to_config(council),
     })
-    est = delta_op(council, w, mode=mode, trials=args.trials,
-                   rng=RngStream(args.seed), workers=args.workers)
+    est = table.deficit(w) if table else delta_op(council, w, mode=mode, trials=args.trials,
+                                                  rng=RngStream(args.seed), workers=args.workers)
     rows = [{"mode": est.method, "value": est.value, "std_error": est.std_error,
              "trials": est.trials}]
     _emit(args, resolved, ["mode", "value", "std_error", "trials"], rows)
     return 0
 
 
-def _cmd_scaling(args):
-    cfg = _load_config(args)
-    resolved = _resolve_common(args, cfg, "scaling")
+def _cmd_scaling(args, cfg, resolved):
     grid = parse_grid(args.grid if args.grid is not None else cfg.get("grid", "256:16384:x2"))
     method = (args.method or cfg.get("method", EXACT)).replace("-", "_")
     if method == MONTE_CARLO:
@@ -473,9 +463,7 @@ def _cmd_scaling(args):
     return 0
 
 
-def _cmd_solve_cj(args):
-    cfg = _load_config(args)
-    resolved = _resolve_common(args, cfg, "solve-cj")
+def _cmd_solve_cj(args, cfg, resolved):
     coupling = args.J if args.J is not None else cfg.get("coupling")
     if coupling is None:
         raise UsageError("solve-cj needs --J")
@@ -492,9 +480,7 @@ def _cmd_solve_cj(args):
     return 0
 
 
-def _cmd_regime(args):
-    cfg = _load_config(args)
-    resolved = _resolve_common(args, cfg, "regime")
+def _cmd_regime(args, cfg, resolved):
     fam_cfg = cfg.get("family", {})
     c = args.c if args.c is not None else fam_cfg.get("c", 1.0)
     beta = args.beta if args.beta is not None else fam_cfg.get("beta")
@@ -528,9 +514,7 @@ def _cmd_regime(args):
     return 0
 
 
-def _cmd_distribution(args):
-    cfg = _load_config(args)
-    resolved = _resolve_common(args, cfg, "distribution")
+def _cmd_distribution(args, cfg, resolved):
     if args.belief is None and "belief" in cfg:
         belief = parse_belief(cfg["belief"])
     elif args.belief is None and "model" in cfg:
@@ -563,15 +547,14 @@ def _cmd_distribution(args):
     return 0
 
 
-def _cmd_council_sim(args):
-    cfg = _load_config(args)
-    resolved = _resolve_common(args, cfg, "council-sim")
+def _cmd_council_sim(args, cfg, resolved):
     _require_trials(args, 1)
     council = parse_council(cfg)
     if args.quota is not None:
         council = CouncilSpec([(s.name, s.population, s.model) for s in council.states],
                               quota=args.quota)
     w, weight_source = _council_weights(args, cfg, council)
+    w = list(optimal_weights(council).values) if w is None else w
     resolved.update({
         "weights": w,
         "weight_source": weight_source,
@@ -596,32 +579,24 @@ def _cmd_council_sim(args):
     return 0
 
 
-def _cmd_compare_rules(args):
-    cfg = _load_config(args)
-    resolved = _resolve_common(args, cfg, "compare-rules")
+def _cmd_compare_rules(args, cfg, resolved):
     _require_trials(args, 1)
     council = parse_council(cfg)
     resolved["council"] = council_to_config(council)
-    rows_out = []
-    for row in council_mod.compare_weight_rules(council, args.trials, RngStream(args.seed),
-                                                workers=args.workers):
-        rows_out.append({
-            "rule": row.rule,
-            "scale": row.scale,
-            "weights": ";".join(fmt12(v) for v in row.weights),
-            "delta_semi_exact": row.delta_semi_exact,
-            "delta_mc": row.simulation.delta.value,
-            "delta_mc_std_error": row.simulation.delta.std_error,
-            "disagreement_rate": row.simulation.disagreement_rate,
-            "disagreement_std_error": row.simulation.disagreement_std_error,
-        })
     fields = ["rule", "scale", "weights", "delta_semi_exact", "delta_mc",
               "delta_mc_std_error", "disagreement_rate", "disagreement_std_error"]
-    _emit(args, resolved, fields, rows_out)
+    rules = council_mod.compare_weight_rules(council, args.trials, RngStream(args.seed),
+                                             workers=args.workers)
+    rows = [dict(zip(fields, (r.rule, r.scale, ";".join(fmt12(v) for v in r.weights),
+                              r.delta_semi_exact, r.simulation.delta.value,
+                              r.simulation.delta.std_error, r.simulation.disagreement_rate,
+                              r.simulation.disagreement_std_error)))
+            for r in rules]
+    _emit(args, resolved, fields, rows)
     return 0
 
 
-def _cmd_selftest(args):
+def _cmd_selftest():
     results = run_selftest(report=print)
     failures = [r for r in results if not r.ok]
     print(f"{len(results) - len(failures)}/{len(results)} invariant checks passed")
@@ -643,50 +618,46 @@ _COMMANDS = {
 
 
 def build_parser():
-    parser = _Parser(prog="faircouncil",
-                     description="Fair council weights under voter correlation")
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name in _COMMANDS:
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker substreams for Monte Carlo (default 1)")
-        p.add_argument("--trials", type=int, default=None,
-                       help="Monte Carlo trials / samples (default 100000)")
-        p.add_argument("--out", help="data output path (metadata goes to OUT.meta.json)")
-        p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-        p.add_argument("--J", type=float, default=None, help="mean-field coupling")
-        p.add_argument("--N", type=int, default=None, help="population size")
-        p.add_argument("--grid", default=None, help="population grid, lo:hi:x2 or lo:hi:+100")
-        p.add_argument("--quota", type=float, default=None, help="council quota in (0, 1)")
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="regime classification band half-width")
-        p.add_argument("--model", default=None,
-                       help="independent | mean-field | common-belief | straffin")
-        p.add_argument("--belief", default=None, help="uniform | point-mass-zero")
-        p.add_argument("--a", type=float, default=None, help="uniform belief half-width")
-        p.add_argument("--c", type=float, default=None, help="Straffin family prefactor")
-        p.add_argument("--beta", type=float, default=None, help="Straffin family decay exponent")
-        p.add_argument("--method", default=None, help="exact | monte-carlo | asymptotic")
-        p.add_argument("--mode", default=None, help="exact | semi-exact | monte-carlo")
-        p.add_argument("--weights", default=None, help="comma-separated council weights")
-    return parser
+    p = _Parser(prog="faircouncil",
+                description="Fair council weights under voter correlation")
+    p.add_argument("subcommand", choices=_COMMANDS, metavar="SUBCOMMAND",
+                   help=" | ".join(_COMMANDS))
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker substreams for Monte Carlo (default 1)")
+    p.add_argument("--trials", type=int, default=None,
+                   help="Monte Carlo trials / samples (default 100000)")
+    p.add_argument("--out", help="data output path (metadata goes to OUT.meta.json)")
+    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    p.add_argument("--J", type=float, default=None, help="mean-field coupling")
+    p.add_argument("--N", type=int, default=None, help="population size")
+    p.add_argument("--grid", default=None, help="population grid, lo:hi:x2 or lo:hi:+100")
+    p.add_argument("--quota", type=float, default=None, help="council quota in (0, 1)")
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="regime classification band half-width")
+    p.add_argument("--model", default=None,
+                   help="independent | mean-field | common-belief | straffin")
+    p.add_argument("--belief", default=None, help="uniform | point-mass-zero")
+    p.add_argument("--a", type=float, default=None, help="uniform belief half-width")
+    p.add_argument("--c", type=float, default=None, help="Straffin family prefactor")
+    p.add_argument("--beta", type=float, default=None, help="Straffin family decay exponent")
+    p.add_argument("--method", default=None, help="exact | monte-carlo | asymptotic")
+    p.add_argument("--mode", default=None, help="exact | semi-exact | monte-carlo")
+    p.add_argument("--weights", default=None, help="comma-separated council weights")
+    return p
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.subcommand is None:
-            raise UsageError("a subcommand is required (see --help)")
-        return _COMMANDS[args.subcommand](args)
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        if args.subcommand == "selftest":
+            return _cmd_selftest()  # reads no config and no flags
+        cfg = _load_config(args)
+        return _COMMANDS[args.subcommand](args, cfg, _resolve_common(args, cfg, args.subcommand))
+    except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 if __name__ == "__main__":

@@ -8,14 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import majority_sign
-from .weights import (
-    DeltaEstimate,
-    _as_weights,
-    _council_trials,
-    delta,
-    optimal_weights,
-    ray_scale,
-)
+from .weights import DeltaEstimate, _as_weights, _council_trials, council_moments
 
 
 def state_delegate_vote(state_outcome):
@@ -111,10 +104,10 @@ class RuleComparison:
     simulation: SimulationResult
 
 
-def _rule_direction(council, rule):
+def _rule_direction(council, table, rule):
     pops = np.array([s.population for s in council.states], dtype=float)
     if rule == "optimal":
-        return np.asarray(optimal_weights(council).values)
+        return table.margins
     if rule == "sqrt_population":
         return np.sqrt(pops)
     if rule == "proportional_population":
@@ -131,12 +124,13 @@ def compare_weight_rules(council, trials, rng, workers=1, rules=RULES):
     though the induced voting system is not, so every rule is first scaled
     to the deficit-minimizing point on its own ray before being simulated.
     """
+    table = council_moments(council)
     rows = []
     for rule in rules:
-        direction = _rule_direction(council, rule)
-        scale = ray_scale(council, direction)
+        direction = _rule_direction(council, table, rule)
+        scale = table.ray_scale(direction)
         scaled = direction * scale
-        semi = delta(council, scaled, mode="semi_exact").value
+        semi = table.deficit(scaled).value
         sim = simulate(council, scaled, trials, rng, workers=workers)
         rows.append(
             RuleComparison(

@@ -93,13 +93,9 @@ def belief_coupling_moment(belief, n, rel_tol=1e-8):
     return float(belief_expectation(belief, f, rel_tol=rel_tol))
 
 
-def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):
-    """Exact E|S| for the model at population n.
-
-    Routes: independent voters use the closed binomial sum; common-belief
-    mixtures integrate the shifted-binomial moment over the belief measure;
-    mean-field sums |s| against the magnetization law.
-    """
+def check_exact_route(model, n, max_population=DEFAULT_POPULATION_BUDGET):
+    """Raise ValueError unless the exact routes take (model, n): a valid
+    model, n >= 1 and n within the population budget."""
     validate_model(model)
     if n < 1:
         raise ValueError("population must be >= 1")
@@ -108,6 +104,16 @@ def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):
             f"population {n} exceeds the exact-route budget {max_population}; "
             "use the Monte Carlo or asymptotic estimator"
         )
+
+
+def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):
+    """Exact E|S| for the model at population n.
+
+    Routes: independent voters use the closed binomial sum; common-belief
+    mixtures integrate the shifted-binomial moment over the belief measure;
+    mean-field sums |s| against the magnetization law.
+    """
+    check_exact_route(model, n, max_population)
     if isinstance(model, Independent):
         value = float(binom_abs_moments(n, 0.5)[0])
     elif isinstance(model, CommonBelief):

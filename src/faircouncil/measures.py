@@ -321,17 +321,19 @@ def pmf_exact(model, outcome, max_population=ENUMERATION_CAP):
 # --------------------------------------------------------------------------
 
 
-def sample_belief(belief, gen, size):
-    """Draw belief values Z ~ mu."""
+def belief_sampler(belief):
+    """A sampler ``draw(gen, size)`` of belief values Z ~ mu; the belief is
+    validated and a grid's cell cdf built here, once."""
     validate_belief(belief)
     if isinstance(belief, PointMassZero):
-        return np.zeros(size)
+        return lambda gen, size: np.zeros(size)
     if isinstance(belief, UniformSymmetric):
-        return gen.uniform(-belief.a, belief.a, size)
+        return lambda gen, size: gen.uniform(-belief.a, belief.a, size)
     if isinstance(belief, DiscreteSymmetric):
         zs = np.array([z for z, _ in belief.atoms])
         ws = np.array([w for _, w in belief.atoms])
-        return gen.choice(zs, p=ws / ws.sum(), size=size)
+        p = ws / ws.sum()
+        return lambda gen, size: gen.choice(zs, p=p, size=size)
     # gridded: piecewise-linear density, sampled by inverse CDF per cell
     nodes = np.array(belief.nodes)
     dens = np.array(belief.densities)
@@ -339,36 +341,47 @@ def sample_belief(belief, gen, size):
     cell_mass = widths * (dens[:-1] + dens[1:]) / 2.0
     cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
     cum /= cum[-1]
-    u = gen.random(size)
-    cell = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, widths.size - 1)
-    # within cell: solve d0*t + (d1-d0)*t^2/2 = r for t in [0, 1]
-    r = (u - cum[cell]) / np.where(cell_mass[cell] > 0, cell_mass[cell], 1.0)
-    d0 = dens[cell]
-    d1 = dens[cell + 1]
-    avg = (d0 + d1) / 2.0
-    slope = d1 - d0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        disc = np.sqrt(np.maximum(d0**2 + slope * (2.0 * avg) * r, 0.0))
-        t = np.where(np.abs(slope) > 1e-12 * np.maximum(d0, d1), (disc - d0) / np.where(slope == 0, 1.0, slope), r)
-    t = np.clip(t, 0.0, 1.0)
-    return nodes[cell] + t * widths[cell]
+
+    def draw(gen, size):
+        u = gen.random(size)
+        cell = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, widths.size - 1)
+        # within cell: solve d0*t + (d1-d0)*t^2/2 = r for t in [0, 1]
+        r = (u - cum[cell]) / np.where(cell_mass[cell] > 0, cell_mass[cell], 1.0)
+        d0 = dens[cell]
+        d1 = dens[cell + 1]
+        avg = (d0 + d1) / 2.0
+        slope = d1 - d0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            disc = np.sqrt(np.maximum(d0**2 + slope * (2.0 * avg) * r, 0.0))
+            t = np.where(np.abs(slope) > 1e-12 * np.maximum(d0, d1), (disc - d0) / np.where(slope == 0, 1.0, slope), r)
+        t = np.clip(t, 0.0, 1.0)
+        return nodes[cell] + t * widths[cell]
+
+    return draw
+
+
+def sample_belief(belief, gen, size):
+    """Draw belief values Z ~ mu."""
+    return belief_sampler(belief)(gen, size)
 
 
 def totals_sampler(model, n):
     """A sampler ``draw(gen, size)`` of total spins S = sum of votes.
 
-    Everything that depends only on (model, n) is built here, once: for the
-    mean field that is the cdf of the magnetization law, inverted by the
-    same cumsum/searchsorted steps as ``gen.choice(support, p=probs)``, so
-    the draws are bit-identical to it without re-checking the O(N) law on
-    every call.
+    Everything that depends only on (model, n) is built here, once: the
+    belief's sampler for a common belief, and for the mean field the cdf of
+    the magnetization law, inverted by the same cumsum/searchsorted steps as
+    ``gen.choice(support, p=probs)``, so the draws are bit-identical to it
+    without re-checking the O(N) law on every call.
     """
     validate_model(model)
     if n < 1:
         raise ValueError("population must be >= 1")
     if isinstance(model, CommonBelief):
+        draw_z = belief_sampler(model.belief)
+
         def draw(gen, size):
-            zs = sample_belief(model.belief, gen, size)
+            zs = draw_z(gen, size)
             return 2 * gen.binomial(n, (1.0 + zs) / 2.0).astype(np.int64) - n
 
         return draw

@@ -15,6 +15,10 @@ at most one state can tie); that expected margin is the fair weight. The
 frequently quoted half-margin variant is not a minimizer: direct
 enumeration shows the deficit still decreasing there, and a single-voter
 state makes it obvious (w = E|S| = 1 gives zero deficit, w = 1/2 does not).
+
+The expansion needs three numbers per state: ``council_moments`` computes
+them once per call into a ``MomentTable`` (one magnetization law per
+mean-field state), on which every semi-exact route evaluates its closed form.
 """
 
 import math
@@ -30,6 +34,7 @@ from .core import (
     MONTE_CARLO,
     CommonBelief,
     Independent,
+    MeanField,
     signs,
     split_budget,
 )
@@ -200,6 +205,54 @@ def state_tie_probability(state):
     return magnetization_pmf(model.coupling, n).prob_of(0)
 
 
+@dataclass(frozen=True, eq=False)
+class MomentTable:
+    """Every state's E|S|, E(S^2) and P(S = 0), in council order: all that
+    the semi-exact deficit and its minimizer along a ray read."""
+
+    margins: np.ndarray
+    seconds: np.ndarray
+    ties: np.ndarray
+
+    def _tie_cross(self, w):
+        wt = w * self.ties
+        return float(np.sum(wt) ** 2 - np.sum(wt**2))
+
+    def deficit(self, weights):
+        """Delta(w) from the expansion in the module docstring."""
+        w = np.asarray(weights, dtype=float)
+        value = float(self.seconds.sum() - 2.0 * np.dot(w, self.margins) + np.dot(w, w)
+                      + self._tie_cross(w))
+        if value < -1e-9:
+            raise ArithmeticError(f"semi-exact deficit came out negative: {value}")
+        return DeltaEstimate(value=max(value, 0.0), method=SEMI_EXACT)
+
+    def ray_scale(self, direction):
+        u = np.asarray(direction, dtype=float)
+        denom = float(np.dot(u, u)) + self._tie_cross(u)
+        if denom <= 0.0:
+            raise ValueError("direction must be a nonzero weight vector")
+        return float(np.dot(u, self.margins)) / denom
+
+
+def _state_moments(state):
+    """(E|S|, E(S^2), P(S = 0)) of one state; a mean-field state reads all
+    three from one magnetization law."""
+    model, n = state.model, state.population
+    if isinstance(model, MeanField) and n > 1:
+        estimators.check_exact_route(model, n)
+        law = magnetization_pmf(model.coupling, n)
+        return law.abs_moment(), law.abs_moment(power=2), law.prob_of(0)
+    return state_margin(state).value, state_second_moment(state), state_tie_probability(state)
+
+
+def council_moments(council):
+    """The council's moment table, each state's moments computed once;
+    a state beyond the exact-route budget raises as in ``state_margin``."""
+    rows = [_state_moments(s) for s in council.states]
+    return MomentTable(*(np.array(col) for col in zip(*rows)))
+
+
 # --------------------------------------------------------------------------
 # optimal weights
 # --------------------------------------------------------------------------
@@ -257,20 +310,6 @@ def _delta_exact(council, weights):
     return DeltaEstimate(value=max(value, 0.0), method=EXACT)
 
 
-def _delta_semi_exact(council, weights):
-    margins = np.array([state_margin(s).value for s in council.states])
-    seconds = np.array([state_second_moment(s) for s in council.states])
-    ties = np.array([state_tie_probability(s) for s in council.states])
-    w = np.asarray(weights)
-    cross = float(np.sum(w * ties) ** 2 - np.sum((w * ties) ** 2))
-    value = float(seconds.sum() - 2.0 * np.dot(w, margins) + np.dot(w, w) + cross)
-    if value < 0.0:
-        if value < -1e-9:
-            raise ArithmeticError(f"semi-exact deficit came out negative: {value}")
-        value = 0.0
-    return DeltaEstimate(value=value, method=SEMI_EXACT)
-
-
 def _council_trials(council, w, trials, rng, workers):
     """The one Monte Carlo loop over councils. Each state's sampler is built
     once; the trials are partitioned over worker substreams, each drawing
@@ -322,7 +361,7 @@ def delta(council, weights, mode=SEMI_EXACT, trials=100_000, rng=None, workers=1
     if mode == EXACT:
         return _delta_exact(council, w)
     if mode == SEMI_EXACT:
-        return _delta_semi_exact(council, w)
+        return council_moments(council).deficit(w)
     if mode == MONTE_CARLO:
         if rng is None:
             raise ValueError("Monte Carlo deficits need an RngStream")
@@ -336,13 +375,7 @@ def ray_scale(council, direction):
     """Scale c* minimizing the deficit along c * direction, from the
     closed-form quadratic: c* = sum(u E|S|) / (sum u^2 + tie cross-term)."""
     u = _as_weights(direction, council)
-    margins = np.array([state_margin(s).value for s in council.states])
-    ties = np.array([state_tie_probability(s) for s in council.states])
-    cross = float(np.sum(u * ties) ** 2 - np.sum((u * ties) ** 2))
-    denom = float(np.dot(u, u)) + cross
-    if denom <= 0.0:
-        raise ValueError("direction must be a nonzero weight vector")
-    return float(np.dot(u, margins)) / denom
+    return council_moments(council).ray_scale(u)
 
 
 # --------------------------------------------------------------------------
@@ -395,16 +428,17 @@ def verify_minimizer(council, w_star, step, mode=SEMI_EXACT, vertex_tol=1e-9):
     if not step > 0.0:
         raise ValueError("step must be > 0")
     w0 = _as_weights(w_star, council)
-    base = delta(council, w0, mode=mode).value
+    table = council_moments(council) if mode == SEMI_EXACT else None
+
+    def value_at(w):
+        return (table.deficit(w) if table else delta(council, w, mode=mode)).value
+
+    base = value_at(w0)
     perturbations = []
     vertices = []
     for i, state in enumerate(council.states):
-        plus = w0.copy()
-        plus[i] += step
-        minus = w0.copy()
-        minus[i] -= step
-        d_plus = delta(council, plus, mode=mode).value
-        d_minus = delta(council, minus, mode=mode).value
+        nudge = np.where(np.arange(council.size) == i, step, 0.0)
+        d_plus, d_minus = value_at(w0 + nudge), value_at(w0 - nudge)
         perturbations.append(PerturbationCheck(state.name, +step, d_plus, d_plus >= base))
         perturbations.append(PerturbationCheck(state.name, -step, d_minus, d_minus >= base))
         curvature = d_plus - 2.0 * base + d_minus
@@ -412,7 +446,7 @@ def verify_minimizer(council, w_star, step, mode=SEMI_EXACT, vertex_tol=1e-9):
             vertices.append(VertexCheck(state.name, math.nan, math.nan, False))
             continue
         vertex = w0[i] - step * (d_plus - d_minus) / (2.0 * curvature)
-        target = state_margin(state).value
+        target = float(table.margins[i]) if table else state_margin(state).value
         vertices.append(VertexCheck(state.name, vertex, target,
                                     abs(vertex - target) <= vertex_tol))
     return MinimizerReport(

@@ -2,10 +2,24 @@
 and exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
-from faircouncil.cli import main, parse_grid, parse_belief, parse_model, UsageError
+import faircouncil
+from faircouncil import optimal_weights
+from faircouncil.cli import (
+    _COMMANDS,
+    main,
+    parse_belief,
+    parse_council,
+    parse_grid,
+    parse_model,
+    UsageError,
+)
 
 
 UNION = {
@@ -366,3 +380,77 @@ class TestUsageErrors:
         code, out, err = run(["weights", "--config", _council_file(tmp_path, text)], capsys)
         assert code == 1
         assert "state name must be a string" in err
+
+
+class TestGridAndTrialsChecks:
+    @pytest.mark.parametrize("cmd,extra", [
+        ("scaling", {"model": {"type": "independent"}}),
+        ("regime", {"family": {"type": "straffin", "beta": 0.5}}),
+        ("distribution", {"belief": {"type": "uniform", "a": 0.5}}),
+    ])
+    def test_non_string_grid_is_usage_error(self, cmd, extra, tmp_path, capsys):
+        path = _council_file(tmp_path, json.dumps({"grid": 5, **extra}))
+        code, out, err = run([cmd, "--config", path], capsys)
+        assert code == 1
+        assert "grid must be a string" in err
+        assert "Traceback" not in err
+
+    def test_trials_checked_where_weights_fall_back_to_monte_carlo(self, tmp_path, capsys):
+        big = {"states": [{"name": "a", "population": 20_000_001,
+                           "model": {"type": "independent"}}]}
+        path = _council_file(tmp_path, json.dumps(big))
+        code, out, err = run(["weights", "--config", path, "--trials", "1"], capsys)
+        assert code == 1
+        assert "--trials must be >= 2" in err
+
+    def test_trials_unused_within_the_budget(self, union_config, capsys):
+        assert run(["weights", "--config", union_config, "--trials", "1"], capsys)[0] == 0
+
+
+class TestOptimalDelta:
+    def test_matches_explicit_optimal_weights(self, tmp_path, capsys):
+        council = {"states": [
+            {"name": "i", "population": 6, "model": {"type": "independent"}},
+            {"name": "m", "population": 9, "model": {"type": "mean_field", "coupling": 1.5}},
+            {"name": "u", "population": 8,
+             "model": {"type": "common_belief", "belief": {"type": "uniform", "a": 0.6}}},
+        ]}
+        path = _council_file(tmp_path, json.dumps(council))
+        code, weights_out, _ = run(["weights", "--config", path, "--format", "jsonl"], capsys)
+        assert code == 0
+        raw = [json.loads(line)["weight_raw"] for line in weights_out.splitlines()]
+        w = optimal_weights(parse_council(council)).values
+        assert raw == pytest.approx(w, rel=1e-11)
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        assert run(["delta", "--config", path, "--out", str(implicit)], capsys)[0] == 0
+        assert run(["delta", "--config", path, "--out", str(explicit),
+                    "--weights", ",".join(repr(v) for v in w)], capsys)[0] == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+
+
+class TestSubprocessSmoke:
+    """One process per invocation, as a shell user runs the CLI."""
+
+    @staticmethod
+    def _run(args):
+        src = os.path.dirname(os.path.dirname(faircouncil.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "faircouncil.cli", *args],
+                              capture_output=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("cmd", ["weights", "delta"])
+    def test_output_matches_in_process_main(self, cmd, union_config, capsys):
+        proc = self._run([cmd, "--config", union_config])
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run([cmd, "--config", union_config], capsys)
+        assert code == 0
+        assert proc.stdout == out.encode()
+
+    def test_help_lists_every_subcommand(self):
+        proc = self._run(["--help"])
+        assert proc.returncode == 0
+        help_text = proc.stdout.decode()
+        for name in _COMMANDS:
+            # the name itself, not a flag such as --weights
+            assert re.search(rf"(?<![-\w]){re.escape(name)}(?![-\w])", help_text), name

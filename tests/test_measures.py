@@ -25,6 +25,8 @@ from faircouncil.measures import (
     _log_binom,
     _meanfield_log_weights,
     belief_expectation,
+    belief_sampler,
+    sample_belief,
     sample_outcomes,
     totals_sampler,
     validate_belief,
@@ -299,3 +301,67 @@ class TestTotalsSampler:
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
             totals_sampler(MeanField(1.0), 0)
+
+
+SAMPLER_BELIEFS = {
+    "point_mass": PointMassZero(),
+    "uniform": UniformSymmetric(0.6),
+    "atoms": DiscreteSymmetric([(-0.5, 0.25), (0.0, 0.5), (0.5, 0.25)]),
+    "grid": GriddedDensity([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.5, 1.0, 0.5, 0.0]),
+}
+
+
+def _grid_cdf(belief, z):
+    """Cdf of the piecewise-linear density through the grid's nodes."""
+    x, d = np.array(belief.nodes), np.array(belief.densities)
+    cell = np.clip(np.searchsorted(x, z, side="right") - 1, 0, x.size - 2)
+    full = np.concatenate([[0.0], np.cumsum(np.diff(x) * (d[:-1] + d[1:]) / 2.0)])
+    t = z - x[cell]
+    slope = (d[cell + 1] - d[cell]) / (x[cell + 1] - x[cell])
+    return (full[cell] + d[cell] * t + slope * t**2 / 2.0) / full[-1]
+
+
+class TestBeliefSampler:
+    """A belief's sampler is built once; chunk by chunk it draws what the
+    per-call ``sample_belief`` draws and leaves the generator where it does."""
+
+    @pytest.mark.parametrize("name", list(SAMPLER_BELIEFS))
+    def test_draws_and_generator_state(self, name):
+        belief = SAMPLER_BELIEFS[name]
+        draw = belief_sampler(belief)
+        gen = RngStream(44, 1).generator()
+        ref = RngStream(44, 1).generator()
+        for size in (1, 10, 1000):
+            got = draw(gen, size)
+            if name == "point_mass":
+                assert np.array_equal(got, np.zeros(size))
+            elif name == "uniform":
+                assert np.array_equal(got, ref.uniform(-0.6, 0.6, size))
+            elif name == "atoms":
+                expected = ref.choice([-0.5, 0.0, 0.5], p=[0.25, 0.5, 0.25], size=size)
+                assert np.array_equal(got, expected)
+            else:
+                # inverse cdf of one uniform per draw
+                assert np.max(np.abs(_grid_cdf(belief, got) - ref.random(size))) <= 1e-12
+        assert np.array_equal(gen.random(8), ref.random(8))
+
+    def test_grid_draws_are_pinned(self):
+        # frozen from the per-call sampler that rebuilt the cell cdf each time
+        gen = RngStream(44, 1).generator()
+        draw = belief_sampler(SAMPLER_BELIEFS["grid"])
+        assert draw(gen, 1).tolist() == [0.4025612357702667]
+        assert sample_belief(SAMPLER_BELIEFS["grid"], gen, 4).tolist() == [
+            0.3706222766941403, -0.4363775960934577, -0.22909811758057586, 0.2473530611758884]
+
+    @pytest.mark.parametrize("name", list(SAMPLER_BELIEFS))
+    def test_totals_sampler_draws_belief_then_binomial(self, name):
+        belief = SAMPLER_BELIEFS[name]
+        n = 1001
+        draw = totals_sampler(CommonBelief(belief), n)
+        gen = RngStream(45, 2).generator()
+        ref = RngStream(45, 2).generator()
+        for size in (1, 10, 1000):
+            zs = sample_belief(belief, ref, size)
+            expected = 2 * ref.binomial(n, (1.0 + zs) / 2.0).astype(np.int64) - n
+            assert np.array_equal(draw(gen, size), expected)
+        assert np.array_equal(gen.random(8), ref.random(8))

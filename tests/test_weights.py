@@ -20,16 +20,25 @@ from faircouncil import (
     GriddedDensity,
     Independent,
     MeanField,
+    PointMassZero,
     RngStream,
     StateSpec,
     UniformSymmetric,
     WeightVector,
+    compare_weight_rules,
     delta,
+    estimators,
     optimal_weights,
     verify_minimizer,
 )
 from faircouncil.measures import pmf_exact
-from faircouncil.weights import ray_scale, state_second_moment, state_tie_probability
+from faircouncil.weights import (
+    council_moments,
+    ray_scale,
+    state_margin,
+    state_second_moment,
+    state_tie_probability,
+)
 
 from oracles import all_outcomes, enumerate_delta
 
@@ -338,3 +347,73 @@ class TestGriddedDeficit:
             expected = float(np.sum(seconds - np.square(w.values)))
             assert expected > 0.0
             assert delta(council, w).value == pytest.approx(expected, rel=1e-9), n
+
+
+TABLE_MODELS = {
+    "independent": Independent(),
+    "mf0.5": MeanField(0.5),
+    "mf1": MeanField(1.0),
+    "mf1.5": MeanField(1.5),
+    "uniform": CommonBelief(UniformSymmetric(0.7)),
+    "atoms": CommonBelief(DiscreteSymmetric([(-0.5, 0.25), (0.0, 0.5), (0.5, 0.25)])),
+    "grid": CommonBelief(GriddedDensity([-1.0, 0.0, 1.0], [0.25, 0.75, 0.25])),
+    "point_mass": CommonBelief(PointMassZero()),
+}
+
+
+class TestMomentTable:
+    """One table of (E|S|, E S^2, P(S=0)) per council serves every
+    semi-exact route; its rows are the per-state functions' values."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_rows_equal_per_state_moments(self, n):
+        council = CouncilSpec([(name, n, model) for name, model in TABLE_MODELS.items()])
+        table = council_moments(council)
+        for i, state in enumerate(council.states):
+            row = (table.margins[i], table.seconds[i], table.ties[i])
+            assert row == (state_margin(state).value, state_second_moment(state),
+                           state_tie_probability(state)), state.name
+
+    @pytest.mark.parametrize("model", [Independent(), MeanField(1.5),
+                                       CommonBelief(UniformSymmetric(1.0))])
+    def test_beyond_budget_raises_as_state_margin(self, model):
+        big = StateSpec("big", estimators.DEFAULT_POPULATION_BUDGET + 1, model)
+        with pytest.raises(ValueError) as expected:
+            state_margin(big)
+        with pytest.raises(ValueError) as got:
+            council_moments(CouncilSpec([("a", 3, Independent()), big]))
+        assert str(got.value) == str(expected.value)
+
+    def test_verify_minimizer_is_delta_by_delta(self):
+        w0 = np.array(optimal_weights(MIXED).values)
+        step = 0.1
+        report = verify_minimizer(MIXED, w0, step=step)
+        base = delta(MIXED, w0).value
+        assert report.delta_at_weights == base
+        for i, state in enumerate(MIXED.states):
+            plus, minus = w0.copy(), w0.copy()
+            plus[i] += step
+            minus[i] -= step
+            d_plus, d_minus = delta(MIXED, plus).value, delta(MIXED, minus).value
+            assert report.perturbations[2 * i].delta_value == d_plus
+            assert report.perturbations[2 * i + 1].delta_value == d_minus
+            vertex = w0[i] - step * (d_plus - d_minus) / (2.0 * (d_plus - 2.0 * base + d_minus))
+            assert report.vertices[i].vertex == vertex
+            assert report.vertices[i].expected_margin == state_margin(state).value
+
+    def test_compare_weight_rules_is_delta_by_delta(self):
+        pops = np.array([s.population for s in MIXED.states], dtype=float)
+        directions = {
+            "optimal": np.array(optimal_weights(MIXED).values),
+            "sqrt_population": np.sqrt(pops),
+            "proportional_population": pops,
+            "equal": np.ones_like(pops),
+        }
+        rows = compare_weight_rules(MIXED, 200, RngStream(31))
+        assert [r.rule for r in rows] == list(directions)
+        for row in rows:
+            scale = ray_scale(MIXED, directions[row.rule])
+            scaled = directions[row.rule] * scale
+            assert row.scale == scale
+            assert row.weights == tuple(float(v) for v in scaled)
+            assert row.delta_semi_exact == delta(MIXED, scaled).value
