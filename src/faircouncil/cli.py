@@ -361,14 +361,26 @@ def _require_trials(args, least):
 
 def _cmd_weights(args, cfg, resolved):
     council = parse_council(cfg)
-    if any(s.population > estimators.DEFAULT_POPULATION_BUDGET for s in council.states):
-        _require_trials(args, 2)  # those states fall back to Monte Carlo
+    for s in council.states:
+        try:
+            estimators.check_exact_route(s.model, s.population)
+        except ValueError:  # this state falls back to Monte Carlo
+            _require_trials(args, 2)
     rng = RngStream(args.seed)
     wv = optimal_weights(council, samples=args.trials, rng=rng, workers=args.workers)
     resolved["council"] = council_to_config(council)
+    rows = [
+        {
+            "state": s.name,
+            "population": s.population,
+            "model": model_label(s.model),
+            "expected_margin": m.value,
+            "weight_raw": raw,
+            "weight_normalized": norm,
+        }
+        for s, m, raw, norm in zip(council.states, wv.margins, wv.values, wv.normalized)
+    ]
     fields = ["state", "population", "model", "expected_margin", "weight_raw", "weight_normalized"]
-    rows = [dict(zip(fields, (s.name, s.population, model_label(s.model), m.value, raw, norm)))
-            for s, m, raw, norm in zip(council.states, wv.margins, wv.values, wv.normalized)]
     _emit(args, resolved, fields, rows)
     return 0
 
@@ -407,17 +419,21 @@ def _cmd_delta(args, cfg, resolved):
     if mode == MONTE_CARLO:
         _require_trials(args, 2)
     w, weight_source = _council_weights(args, cfg, council)
-    table = council_moments(council) if w is None and mode == SEMI_EXACT else None
-    if w is None:
-        w = [float(m) for m in table.margins] if table else list(optimal_weights(council).values)
+    if w is None and mode == SEMI_EXACT:
+        table = council_moments(council)
+        w = [float(m) for m in table.margins]
+        est = table.deficit(w)
+    else:
+        if w is None:
+            w = list(optimal_weights(council).values)
+        est = delta_op(council, w, mode=mode, trials=args.trials,
+                       rng=RngStream(args.seed), workers=args.workers)
     resolved.update({
         "mode": mode,
         "weights": w,
         "weight_source": weight_source,
         "council": council_to_config(council),
     })
-    est = table.deficit(w) if table else delta_op(council, w, mode=mode, trials=args.trials,
-                                                  rng=RngStream(args.seed), workers=args.workers)
     rows = [{"mode": est.method, "value": est.value, "std_error": est.std_error,
              "trials": est.trials}]
     _emit(args, resolved, ["mode", "value", "std_error", "trials"], rows)
@@ -583,16 +599,22 @@ def _cmd_compare_rules(args, cfg, resolved):
     _require_trials(args, 1)
     council = parse_council(cfg)
     resolved["council"] = council_to_config(council)
+    rows_out = []
+    for row in council_mod.compare_weight_rules(council, args.trials, RngStream(args.seed),
+                                                workers=args.workers):
+        rows_out.append({
+            "rule": row.rule,
+            "scale": row.scale,
+            "weights": ";".join(fmt12(v) for v in row.weights),
+            "delta_semi_exact": row.delta_semi_exact,
+            "delta_mc": row.simulation.delta.value,
+            "delta_mc_std_error": row.simulation.delta.std_error,
+            "disagreement_rate": row.simulation.disagreement_rate,
+            "disagreement_std_error": row.simulation.disagreement_std_error,
+        })
     fields = ["rule", "scale", "weights", "delta_semi_exact", "delta_mc",
               "delta_mc_std_error", "disagreement_rate", "disagreement_std_error"]
-    rules = council_mod.compare_weight_rules(council, args.trials, RngStream(args.seed),
-                                             workers=args.workers)
-    rows = [dict(zip(fields, (r.rule, r.scale, ";".join(fmt12(v) for v in r.weights),
-                              r.delta_semi_exact, r.simulation.delta.value,
-                              r.simulation.delta.std_error, r.simulation.disagreement_rate,
-                              r.simulation.disagreement_std_error)))
-            for r in rules]
-    _emit(args, resolved, fields, rows)
+    _emit(args, resolved, fields, rows_out)
     return 0
 
 
@@ -655,9 +677,12 @@ def main(argv=None):
             return _cmd_selftest()  # reads no config and no flags
         cfg = _load_config(args)
         return _COMMANDS[args.subcommand](args, cfg, _resolve_common(args, cfg, args.subcommand))
-    except (UsageError, ValueError, ArithmeticError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, UsageError) else 2
+        return 1
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -428,17 +428,16 @@ def verify_minimizer(council, w_star, step, mode=SEMI_EXACT, vertex_tol=1e-9):
     if not step > 0.0:
         raise ValueError("step must be > 0")
     w0 = _as_weights(w_star, council)
-    table = council_moments(council) if mode == SEMI_EXACT else None
-
-    def value_at(w):
-        return (table.deficit(w) if table else delta(council, w, mode=mode)).value
-
-    base = value_at(w0)
+    base = delta(council, w0, mode=mode).value
     perturbations = []
     vertices = []
     for i, state in enumerate(council.states):
-        nudge = np.where(np.arange(council.size) == i, step, 0.0)
-        d_plus, d_minus = value_at(w0 + nudge), value_at(w0 - nudge)
+        plus = w0.copy()
+        plus[i] += step
+        minus = w0.copy()
+        minus[i] -= step
+        d_plus = delta(council, plus, mode=mode).value
+        d_minus = delta(council, minus, mode=mode).value
         perturbations.append(PerturbationCheck(state.name, +step, d_plus, d_plus >= base))
         perturbations.append(PerturbationCheck(state.name, -step, d_minus, d_minus >= base))
         curvature = d_plus - 2.0 * base + d_minus
@@ -446,7 +445,7 @@ def verify_minimizer(council, w_star, step, mode=SEMI_EXACT, vertex_tol=1e-9):
             vertices.append(VertexCheck(state.name, math.nan, math.nan, False))
             continue
         vertex = w0[i] - step * (d_plus - d_minus) / (2.0 * curvature)
-        target = float(table.margins[i]) if table else state_margin(state).value
+        target = state_margin(state).value
         vertices.append(VertexCheck(state.name, vertex, target,
                                     abs(vertex - target) <= vertex_tol))
     return MinimizerReport(
