@@ -32,9 +32,11 @@ from .measures import (
     validate_model,
 )
 
-#: The binomial routes cost O(1) per success probability, but the
-#: mean-field law costs O(N); refuse populations beyond this by default
-#: rather than stalling.
+#: The exact routes' documented domain; beyond it they refuse by default, and
+#: ``state_margin`` given a random stream falls back to Monte Carlo. The
+#: Monte Carlo fallback depends on this value. Within it the binomial routes
+#: cost O(1) per success probability, and the mean-field law its mass
+#: window: O(sqrt(N)) points, O(N^(3/4)) at J = 1.
 DEFAULT_POPULATION_BUDGET = 10**7
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)

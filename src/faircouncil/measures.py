@@ -18,6 +18,7 @@ substream's chunk from it.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -249,40 +250,93 @@ def _meanfield_log_weights(coupling, n):
     return lg[n] - lg - lg[::-1] + coupling * s**2 / (2.0 * (n - 1))
 
 
+#: Log-weights further than this below the peak come out exactly 0 after
+#: normalization, because ``exp`` underflows to 0 below about -745.
+WINDOW_NATS = 800.0
+
+
 @dataclass(frozen=True)
 class MagnetizationPmf:
-    """Exact law of the total spin S under a symmetric voting measure.
+    """Exact law of the total spin S under the mean-field measure.
 
-    ``support`` holds the attainable spins -N, -N+2, ..., N and ``probs``
-    the matching probabilities (summing to 1, symmetric in s -> -s).
+    The law is symmetric in s -> -s, so only its half-line mass window is
+    stored: ``half[i] = P(S = lo + 2i)`` for the spins ``lo >= 0`` up to
+    ``lo + 2(len(half) - 1)``, outside of which every P(S = s), s >= 0, is
+    exactly 0 in double precision. ``support`` (the attainable spins -N,
+    -N+2, ..., N) and ``probs`` (the matching probabilities, zeros outside
+    the window, summing to 1 and symmetric in s -> -s) are full-length
+    arrays built on first read.
     """
 
     n: int
-    support: np.ndarray
-    probs: np.ndarray
+    lo: int
+    half: np.ndarray
+
+    def _spins(self):
+        return self.lo + 2 * np.arange(self.half.size)
+
+    def window(self):
+        """Spins and probabilities of the window on both sides of zero, in
+        ascending s: the law where its mass can show in a double."""
+        s = self._spins()
+        right = slice(1, None) if self.lo == 0 else slice(None)
+        return (np.concatenate([-s[::-1], s[right]]),
+                np.concatenate([self.half[::-1], self.half[right]]))
+
+    @cached_property
+    def support(self):
+        return 2 * np.arange(self.n + 1) - self.n
+
+    @cached_property
+    def probs(self):
+        spins, mass = self.window()
+        probs = np.zeros(self.n + 1)
+        probs[(spins + self.n) // 2] = mass
+        return probs
 
     def prob_of(self, s):
-        idx = (int(s) + self.n) // 2
-        if not 0 <= idx <= self.n or (int(s) + self.n) % 2:
+        i, odd = divmod(abs(int(s)) - self.lo, 2)
+        if odd or not 0 <= i < self.half.size:
             return 0.0
-        return float(self.probs[idx])
+        return float(self.half[i])
 
     def abs_moment(self, power=1):
-        return float(np.sum(np.abs(self.support.astype(float)) ** power * self.probs))
+        terms = self._spins().astype(float) ** power * self.half
+        # each s > 0 stands for +-s; s = 0 only for itself
+        return float(2.0 * terms.sum() - (terms[0] if self.lo == 0 else 0.0))
 
 
 def magnetization_pmf(coupling, n):
     """Exact mean-field law of S: P(S=s) proportional to
-    binomial(n, (n+s)/2) * exp(J s^2 / (2(n-1))), normalized in log space."""
+    binomial(n, (n+s)/2) * exp(J s^2 / (2(n-1))), kept on its mass window.
+
+    The half-line s >= 0 is scanned on a stride of floor(sqrt(n)) in k =
+    (n+s)/2 with the ``gammaln`` log-weights, whose rounding only moves the
+    window's edge. The window runs between the neighbours of the coarse
+    nodes within ``WINDOW_NATS`` of the maximum: the log-weight is unimodal
+    on the half line, so nothing outside it survives normalization. Inside,
+    the log-weights are a cumulative sum of the per-step increments
+    log((n-k+1)/k) + J (4 s_k - 4) / (2(n-1)) from the window's edge, so no
+    large terms cancel. The window holds O(sqrt(n)) points, O(n^(3/4)) at
+    J = 1 (Ellis and Newman 1978), and its moments agree with 30-digit
+    sums to about 1e-14 relative.
+    """
     if coupling < 0.0:
         raise ValueError("coupling must be >= 0")
     if n < 2:
         raise ValueError("magnetization pmf needs n >= 2")
-    probs = _meanfield_log_weights(coupling, n)
-    probs -= logsumexp(probs)
-    np.exp(probs, out=probs)
-    support = 2 * np.arange(n + 1) - n
-    return MagnetizationPmf(n=n, support=support, probs=probs)
+    nodes = np.union1d(np.arange((n + 1) // 2, n + 1, math.isqrt(n)), n)
+    coarse = _log_binom(n, nodes) + coupling * (2.0 * nodes - n) ** 2 / (2.0 * (n - 1))
+    kept = np.flatnonzero(coarse >= coarse.max() - WINDOW_NATS)
+    first = int(nodes[max(kept[0] - 1, 0)])
+    k = np.arange(first + 1, nodes[min(kept[-1] + 1, nodes.size - 1)] + 1)
+    step = np.log1p((n + 1 - 2 * k) / k) + coupling * (4.0 * (2 * k - n) - 4.0) / (2.0 * (n - 1))
+    half = np.concatenate([[0.0], np.cumsum(step)])
+    half -= half.max()
+    np.exp(half, out=half)
+    lo = 2 * first - n
+    half /= 2.0 * half.sum() - (half[0] if lo == 0 else 0.0)
+    return MagnetizationPmf(n=n, lo=lo, half=half)
 
 
 def pmf_exact(model, outcome, max_population=ENUMERATION_CAP):
@@ -370,9 +424,10 @@ def totals_sampler(model, n):
 
     Everything that depends only on (model, n) is built here, once: the
     belief's sampler for a common belief, and for the mean field the cdf of
-    the magnetization law, inverted by the same cumsum/searchsorted steps as
-    ``gen.choice(support, p=probs)``, so the draws are bit-identical to it
-    without re-checking the O(N) law on every call.
+    the magnetization law's window, inverted by the same cumsum/searchsorted
+    steps as ``gen.choice(support, p=probs)``. The zeros outside the window
+    add exactly, so the cdf equals that of the full law wherever it rises
+    and the draws are bit-identical to ``gen.choice``.
     """
     validate_model(model)
     if n < 1:
@@ -388,9 +443,10 @@ def totals_sampler(model, n):
     if isinstance(model, Independent) or n == 1:
         # a single mean-field voter has no pair interaction
         return lambda gen, size: 2 * gen.binomial(n, 0.5, size=size).astype(np.int64) - n
-    cdf = np.cumsum(magnetization_pmf(model.coupling, n).probs)
+    spins, mass = magnetization_pmf(model.coupling, n).window()
+    cdf = np.cumsum(mass)
     cdf /= cdf[-1]
-    return lambda gen, size: 2 * cdf.searchsorted(gen.random(size), side="right") - n
+    return lambda gen, size: spins[cdf.searchsorted(gen.random(size), side="right")]
 
 
 def _totals_with_generator(model, n, size, gen):

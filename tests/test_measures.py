@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln, logsumexp
 
 from faircouncil import (
     CommonBelief,
@@ -167,6 +169,28 @@ class TestMagnetizationPmf:
         with pytest.raises(ValueError):
             magnetization_pmf(0.5, 1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 4.0), st.integers(2, 3000))
+    def test_window_law_matches_full_law(self, coupling, n):
+        pmf = magnetization_pmf(coupling, n)
+        logw = _meanfield_log_weights(coupling, n)
+        full = np.exp(logw - logsumexp(logw))
+        shown = full >= 1e-300
+        # the full law subtracts log-gamma terms up to gammaln(n + 1) + J n / 2
+        # in size, so its own rounding adds a few ulps of that to the 1e-12
+        rtol = 1e-12 + 4 * np.finfo(float).eps * (gammaln(n + 1.0) + coupling * n / 2)
+        assert np.all(np.abs(pmf.probs[shown] - full[shown]) <= rtol * full[shown])
+        assert np.array_equal(pmf.probs, pmf.probs[::-1])
+        assert abs(pmf.probs.sum() - 1.0) <= 1e-14
+        for s in {0, 1, 2, n - 1, n, -n}:
+            on_support = (s + n) % 2 == 0
+            direct = pmf.probs[(s + n) // 2] if on_support else 0.0
+            assert pmf.prob_of(s) == pytest.approx(direct, rel=1e-14, abs=0.0)
+        spins = np.abs(pmf.support.astype(float))
+        for power in (1, 2):
+            direct = float(np.sum(spins**power * pmf.probs))
+            assert pmf.abs_moment(power=power) == pytest.approx(direct, rel=1e-14)
+
 
 class TestFieldBeliefMap:
     def test_zero_field_zero_belief(self):
@@ -297,6 +321,21 @@ class TestTotalsSampler:
         s = 2.0 * np.arange(n + 1) - n
         reference = _log_binom(n, np.arange(n + 1)) + coupling * s**2 / (2.0 * (n - 1))
         assert np.array_equal(_meanfield_log_weights(coupling, n), reference)
+
+    @pytest.mark.parametrize("coupling, n, first_draws", [
+        (0.5, 1001, [23, 27, -25, 17, 49, -61, -25, -45, -57, -19,
+                     -3, -3, -65, -63, 29, 1, 69, 91, 109, 27]),
+        (1.0, 100_000, [3778, 4220, -4044, 2818, 7252, -8566, -4138, -6742, -8134, -3218,
+                        -414, -554, -8864, -8746, 4676, 132, 9378, 11208, 12594, 4208]),
+        (1.5, 1_000_001, [858387, 858465, -858433, 858207, 858965, -859191, -858449,
+                          -858881, -859115, -858285, -857431, -857525, -859243, -859223,
+                          858541, 857107, 859335, 859689, 859983, 858461]),
+    ])
+    def test_meanfield_draws_are_pinned(self, coupling, n, first_draws):
+        # frozen from the sampler over the full-length law, before the law
+        # kept only its mass window
+        gen = RngStream(46, 1).generator()
+        assert totals_sampler(MeanField(coupling), n)(gen, 20).tolist() == first_draws
 
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
