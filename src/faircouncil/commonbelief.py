@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 from scipy.stats import wasserstein_distance
 
 from . import estimators
@@ -23,8 +22,8 @@ from .measures import (
     PointMassZero,
     UniformSymmetric,
     belief_expectation,
+    count_law,
     validate_belief,
-    _log_binom,
 )
 
 LINEAR = "linear"
@@ -216,20 +215,11 @@ def margin_bound_check(belief, n, mode="exact", samples=100_000, rng=None, worke
 def vote_share_law(belief, n):
     """Exact law of (1/N) sum of votes: lattice points (2k - N)/N for
     k = 0..N and their mixture probabilities under the belief."""
-    validate_belief(belief)
-    k = np.arange(n + 1, dtype=float)
-    log_binom = _log_binom(n, k)
-
-    def pmf_rows(zs):
-        p = (1.0 + np.asarray(zs)[:, None]) / 2.0
-        return np.exp(log_binom[None, :] + xlogy(k[None, :], p) + xlogy(n - k[None, :], 1.0 - p))
-
     # per-lattice-point mass only needs to beat the atomization error of
     # the transport distance, so run the ladder at a lighter tolerance
-    probs = belief_expectation(belief, pmf_rows, rel_tol=1e-8)
-    probs = np.maximum(probs, 0.0)
+    probs = np.maximum(count_law(CommonBelief(belief), n, rel_tol=1e-8), 0.0)
     probs /= probs.sum()
-    return (2.0 * k - n) / n, probs
+    return (2.0 * np.arange(n + 1) - n) / n, probs
 
 
 def _belief_atoms(belief):

@@ -1,4 +1,4 @@
-"""Voting measures: constructors, exact pmfs for small N, and samplers.
+"""Voting measures: constructors, the law of the yes-count, and samplers.
 
 Three families are implemented, all invariant under a global sign flip of
 the votes:
@@ -11,17 +11,21 @@ the votes:
 
 Continuous belief measures are integrated by Gauss-Legendre quadrature with
 node doubling; a gridded density is the piecewise-linear density through
-its nodes, integrated cell by cell. ``totals_sampler`` builds a total-spin
-sampler once per (model, N); Monte Carlo callers draw every worker
-substream's chunk from it.
+its nodes, integrated cell by cell. ``count_law`` gives the law of the
+yes-count K = (N + S)/2 per (model, N); exact enumeration reads one such
+law per state, and ``pmf_exact`` shares P(K = k) among the C(N, k)
+outcomes with k yes-votes. ``totals_sampler`` builds a total-spin sampler
+once per (model, N); Monte Carlo callers draw every worker substream's
+chunk from it.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, roots_legendre, xlogy
+from scipy.stats import binom
 
 from .core import (
     ENUMERATION_CAP,
@@ -148,15 +152,7 @@ def validate_model(model):
 # expectations over belief measures
 # --------------------------------------------------------------------------
 
-_leggauss_cache = {}
-
-
-def _leggauss(n):
-    if n not in _leggauss_cache:
-        from scipy.special import roots_legendre
-
-        _leggauss_cache[n] = roots_legendre(n)
-    return _leggauss_cache[n]
+_leggauss = lru_cache(maxsize=None)(roots_legendre)
 
 
 def _half_line_cells(belief):
@@ -255,7 +251,7 @@ def _meanfield_log_weights(coupling, n):
 WINDOW_NATS = 800.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagnetizationPmf:
     """Exact law of the total spin S under the mean-field measure.
 
@@ -339,8 +335,46 @@ def magnetization_pmf(coupling, n):
     return MagnetizationPmf(n=n, lo=lo, half=half)
 
 
+def count_law(model, n, rel_tol=QUAD_REL_TOL):
+    """Law of the yes-count K = (n + S)/2: P(K = k) for k = 0..n.
+
+    Independent voters, and a single mean-field voter, give the fair
+    binomial row. A common belief integrates the binomial rows C(n, k)
+    p^k (1 - p)^(n - k), p = (1 + z)/2, in one vector-valued quadrature
+    ladder to ``rel_tol``. The mean field gives its Gibbs law from the
+    definition, normalized over all n + 1 log-weights: meant for small n,
+    and kept apart from the windowed ``magnetization_pmf``, which
+    enumeration checks.
+    """
+    validate_model(model)
+    k = np.arange(n + 1, dtype=float)
+    if isinstance(model, CommonBelief):
+        log_binom = _log_binom(n, k)
+
+        def rows(zs):
+            p = (1.0 + np.asarray(zs)[:, None]) / 2.0
+            return np.exp(log_binom[None, :] + xlogy(k[None, :], p) + xlogy(n - k[None, :], 1.0 - p))
+
+        return belief_expectation(model.belief, rows, rel_tol=rel_tol)
+    if isinstance(model, Independent) or n == 1:
+        return binom.pmf(k, n, 0.5)
+    logw = _meanfield_log_weights(model.coupling, n)
+    return np.exp(logw - logsumexp(logw))
+
+
+@lru_cache(maxsize=256)
+def _enumeration_law(model, n):
+    """``count_law`` of a validated model at n <= ENUMERATION_CAP, cached on
+    the frozen (model, n) and read-only: enumeration asks for it once per
+    outcome."""
+    law = count_law(model, n)
+    law.flags.writeable = False
+    return law
+
+
 def pmf_exact(model, outcome, max_population=ENUMERATION_CAP):
-    """Probability of one exact outcome under the model.
+    """Probability of one exact outcome under the model: the measures are
+    exchangeable, so the C(N, k) outcomes with k yes-votes share P(K = k).
 
     Guarded at N <= 24 so that the normalization promise (the 2^N outcome
     probabilities sum to 1) stays checkable by enumeration.
@@ -350,24 +384,9 @@ def pmf_exact(model, outcome, max_population=ENUMERATION_CAP):
     n = votes.size
     if n > max_population:
         raise ValueError(f"exact pmf is limited to N <= {max_population}, got {n}")
-    if isinstance(model, Independent):
-        return 0.5**n
-    if isinstance(model, CommonBelief):
-        k = (int(votes.sum(dtype=np.int64)) + n) // 2
-
-        def mass(zs):
-            p = (1.0 + zs) / 2.0
-            return np.power(p, k) * np.power(1.0 - p, n - k)
-
-        return float(belief_expectation(model.belief, mass))
-    # mean field; a single voter has no pair interaction
-    if n == 1:
-        return 0.5
-    s = float(votes.sum(dtype=np.int64))
-    logw = model.coupling * s**2 / (2.0 * (n - 1))
-    logz = logsumexp(_meanfield_log_weights(model.coupling, n))
-    # divide the magnetization weight among the binomial(n, k) outcomes sharing s
-    return float(np.exp(logw - logz))
+    k = (int(votes.sum(dtype=np.int64)) + n) // 2
+    law = _enumeration_law(model, n) if n <= ENUMERATION_CAP else count_law(model, n)
+    return float(law[k] / math.comb(n, k))
 
 
 # --------------------------------------------------------------------------
@@ -470,7 +489,6 @@ def sample(model, n, rng):
     if isinstance(model, Independent):
         return (2 * gen.integers(0, 2, size=n, dtype=np.int8) - 1).astype(np.int8)
     if isinstance(model, CommonBelief):
-        validate_belief(model.belief)
         z = float(sample_belief(model.belief, gen, 1)[0])
         yes = gen.random(n) < (1.0 + z) / 2.0
         return np.where(yes, 1, -1).astype(np.int8)
@@ -486,7 +504,6 @@ def sample_outcomes(model, n, size, rng):
     if isinstance(model, Independent):
         return (2 * gen.integers(0, 2, size=(size, n), dtype=np.int8) - 1).astype(np.int8)
     if isinstance(model, CommonBelief):
-        validate_belief(model.belief)
         zs = sample_belief(model.belief, gen, size)
         yes = gen.random((size, n)) < ((1.0 + zs) / 2.0)[:, None]
         return np.where(yes, 1, -1).astype(np.int8)

@@ -19,6 +19,8 @@ state makes it obvious (w = E|S| = 1 gives zero deficit, w = 1/2 does not).
 The expansion needs three numbers per state: ``council_moments`` computes
 them once per call into a ``MomentTable`` (one magnetization law per
 mean-field state), on which every semi-exact route evaluates its closed form.
+The exact route enumerates the product of the states' yes-count laws, reading
+one ``count_law`` per state.
 """
 
 import math
@@ -39,9 +41,9 @@ from .core import (
     split_budget,
 )
 from .measures import (
+    _enumeration_law,
     belief_expectation,
     magnetization_pmf,
-    pmf_exact,
     totals_sampler,
     validate_model,
 )
@@ -280,18 +282,6 @@ def optimal_weights(council, samples=100_000, rng=None, workers=1,
 # --------------------------------------------------------------------------
 
 
-def _state_outcome_table(state, weight):
-    """Aggregate a state's 2^N outcomes by their total spin: probabilities
-    binomial(N, k) * pmf(representative outcome), spins, weighted votes."""
-    n = state.population
-    probs = np.empty(n + 1)
-    for k in range(n + 1):
-        rep = np.concatenate([np.ones(k, dtype=np.int8), -np.ones(n - k, dtype=np.int8)])
-        probs[k] = math.comb(n, k) * pmf_exact(state.model, rep)
-    s = 2 * np.arange(n + 1) - n
-    return probs, s.astype(float), weight * signs(s).astype(float)
-
-
 def _delta_exact(council, weights):
     if council.total_population > EXACT_POPULATION_CAP:
         raise ValueError(
@@ -302,10 +292,12 @@ def _delta_exact(council, weights):
     popular = np.array([0.0])
     council_sum = np.array([0.0])
     for state, w in zip(council.states, weights):
-        p_k, s_k, c_k = _state_outcome_table(state, w)
-        probs = (probs[:, None] * p_k[None, :]).ravel()
-        popular = (popular[:, None] + s_k[None, :]).ravel()
-        council_sum = (council_sum[:, None] + c_k[None, :]).ravel()
+        # aggregate the state's 2^N outcomes by their yes-count k
+        n = state.population
+        s = 2 * np.arange(n + 1) - n
+        probs = (probs[:, None] * _enumeration_law(state.model, n)[None, :]).ravel()
+        popular = (popular[:, None] + s[None, :]).ravel()
+        council_sum = (council_sum[:, None] + w * signs(s)[None, :]).ravel()
     value = float(np.sum(probs * (popular - council_sum) ** 2))
     return DeltaEstimate(value=max(value, 0.0), method=EXACT)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln, logsumexp
+from scipy.special import betainc, gammaln, logsumexp
 
 from faircouncil import (
     CommonBelief,
@@ -23,11 +23,14 @@ from faircouncil import (
     sample,
     sample_totals,
 )
+from faircouncil.commonbelief import vote_share_law
 from faircouncil.measures import (
+    _enumeration_law,
     _log_binom,
     _meanfield_log_weights,
     belief_expectation,
     belief_sampler,
+    count_law,
     sample_belief,
     sample_outcomes,
     totals_sampler,
@@ -404,3 +407,80 @@ class TestBeliefSampler:
             expected = 2 * ref.binomial(n, (1.0 + zs) / 2.0).astype(np.int64) - n
             assert np.array_equal(draw(gen, size), expected)
         assert np.array_equal(gen.random(8), ref.random(8))
+
+
+def _votes(n, k):
+    return np.concatenate([np.ones(k, dtype=np.int8), -np.ones(n - k, dtype=np.int8)])
+
+
+class TestCountLaw:
+    """One law of the yes-count per (model, n), read by every enumeration
+    route, checked against references built without it."""
+
+    def test_hat_grid_pmf_matches_per_cell_gauss_legendre(self):
+        # the piecewise-linear hat times a degree-n polynomial is of degree
+        # n + 1 on each cell, integrated exactly by 12 >= n/2 + 1 nodes
+        n = 16
+        nodes = np.linspace(-1, 1, 201)
+        dens = 1.0 - np.abs(nodes)
+        model = CommonBelief(GriddedDensity(nodes, dens))
+        x, w = np.polynomial.legendre.leggauss(12)
+        lo, hi = nodes[:-1, None], nodes[1:, None]
+        z = lo + (hi - lo) * (x + 1.0) / 2.0
+        rho = dens[:-1, None] + (dens[1:, None] - dens[:-1, None]) * (z - lo) / (hi - lo)
+        for k in range(n + 1):
+            f = ((1.0 + z) / 2.0) ** k * ((1.0 - z) / 2.0) ** (n - k)
+            reference = float(np.sum(w * (hi - lo) / 2.0 * rho * f))
+            assert pmf_exact(model, _votes(n, k)) == pytest.approx(reference, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("a", [0.1, 0.5])
+    @pytest.mark.parametrize("n", [5, 12, 24])
+    def test_uniform_belief_matches_incomplete_beta(self, a, n):
+        # p = (1 + z)/2 is uniform on [p0, p1]: P(K = k) is the difference of
+        # regularized incomplete betas over (n + 1) a, taken on the side of
+        # the tail (I_p(x, y) = 1 - I_{1-p}(y, x)) so that it does not cancel
+        k = np.arange(n + 1)
+        p0, p1 = (1.0 - a) / 2.0, (1.0 + a) / 2.0
+        lower = betainc(k + 1, n - k + 1, p1) - betainc(k + 1, n - k + 1, p0)
+        upper = betainc(n - k + 1, k + 1, 1.0 - p0) - betainc(n - k + 1, k + 1, 1.0 - p1)
+        closed = np.where(k <= n / 2, upper, lower) / ((n + 1) * a)
+        model = CommonBelief(UniformSymmetric(a))
+        np.testing.assert_allclose(count_law(model, n), closed, rtol=1e-12, atol=0)
+        pmfs = [pmf_exact(model, _votes(n, j)) * math.comb(n, j) for j in range(n + 1)]
+        np.testing.assert_allclose(pmfs, closed, rtol=1e-12, atol=0)
+
+    def test_invalid_models_raise_before_the_cache(self):
+        bad_grid = CommonBelief(GriddedDensity(np.linspace(-1, 1, 21), np.full(21, 0.4)))
+        for route in (pmf_exact, lambda m, o: count_law(m, len(o))):
+            with pytest.raises(TypeError, match="not a belief distribution"):
+                route(CommonBelief([1, 2]), [1, -1])
+            with pytest.raises(ValueError, match="gridded density integrates to"):
+                route(bad_grid, [1, -1])
+        with pytest.raises(ValueError, match="limited to N <= 24"):
+            pmf_exact(MeanField(0.5), np.ones(25, dtype=np.int8))
+
+    def test_cached_law_is_read_only(self):
+        law = _enumeration_law(MeanField(0.7), 6)
+        assert not law.flags.writeable
+        with pytest.raises(ValueError):
+            law[0] = 1.0
+        assert pmf_exact(MeanField(0.7), _votes(6, 0)) == law[0]
+
+    def test_vote_share_law_bypasses_the_cache(self):
+        before = _enumeration_law.cache_info()
+        vote_share_law(UniformSymmetric(1.0), 1000)
+        assert _enumeration_law.cache_info() == before
+
+    def test_samplers_still_validate_the_belief(self):
+        bad = CommonBelief(DiscreteSymmetric([(0.4, 1.0)]))
+        with pytest.raises(ValueError, match="lacks a mirror"):
+            sample(bad, 5, RngStream(1))
+        with pytest.raises(ValueError, match="lacks a mirror"):
+            sample_outcomes(bad, 5, 3, RngStream(1))
+
+
+def test_magnetization_pmf_equality_is_identity():
+    # an array field makes field-wise equality ambiguous, so laws compare by identity
+    law = magnetization_pmf(1.0, 10)
+    assert (law == magnetization_pmf(1.0, 10)) is False
+    assert law == law
