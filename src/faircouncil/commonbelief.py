@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 from . import estimators
 from .core import CommonBelief
@@ -186,6 +185,8 @@ def margin_bound_check(belief, n, mode="exact", samples=100_000, rng=None, worke
     validate_belief(belief)
     if n < 1:
         raise ValueError("population must be >= 1")
+    if n % 1 != 0:
+        raise ValueError(f"population must be a whole number, got {n!r}")
     model = CommonBelief(belief)
     if mode == "exact":
         mean_margin = estimators.expected_margin_exact(model, n).value
@@ -263,4 +264,19 @@ def distribution_distance(belief, n):
     """
     values, probs = vote_share_law(belief, n)
     mu_vals, mu_ws = _belief_atoms(belief)
-    return float(wasserstein_distance(values, mu_vals, probs, mu_ws))
+    return float(_wasserstein_1d(values, mu_vals, probs, mu_ws))
+
+
+def _wasserstein_1d(u_values, v_values, u_weights, v_weights):
+    """W1 of two weighted atomic laws on the line: the integral of |F_u - F_v|
+    between successive atoms, by the steps of ``scipy.stats``'s 1-D
+    ``wasserstein_distance`` (so the value is the same to the last bit)."""
+    all_values = np.concatenate((u_values, v_values))
+    all_values.sort(kind="mergesort")
+
+    def cdf(values, weights):
+        order = np.argsort(values)
+        cum = np.concatenate(([0.0], np.cumsum(weights[order])))
+        return cum[values[order].searchsorted(all_values[:-1], "right")] / cum[-1]
+
+    return np.vecdot(np.abs(cdf(u_values, u_weights) - cdf(v_values, v_weights)), np.diff(all_values))

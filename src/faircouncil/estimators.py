@@ -12,7 +12,9 @@ for the mean-field model. Monte Carlo draws every worker substream from one
 import math
 
 import numpy as np
-from scipy.stats import binom
+# The Boost binomial ufuncs that scipy.stats.binom wraps, called without its
+# argument checks or the scipy.stats import; callers pass valid (k, n, p).
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
 from .core import (
     ASYMPTOTIC,
@@ -54,7 +56,7 @@ def _binom_abs_dev(n, p, t):
     pmf per p.
     """
     m = np.floor(t)
-    tail = (t - n * p) * binom.cdf(m, n, p) + (n - m) * p * binom.pmf(m, n, p)
+    tail = (t - n * p) * _binom_cdf(m, n, p) + (n - m) * p * _binom_pmf(m, n, p)
     return n * p - t + 2.0 * tail
 
 
@@ -106,6 +108,9 @@ def check_exact_route(model, n, max_population=DEFAULT_POPULATION_BUDGET):
             f"population {n} exceeds the exact-route budget {max_population}; "
             "use the Monte Carlo or asymptotic estimator"
         )
+    # the binomial ufuncs take a real n and would return a value for it
+    if n % 1 != 0:
+        raise ValueError(f"population must be a whole number, got {n!r}")
 
 
 def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, roots_legendre, xlogy
-from scipy.stats import binom
+from scipy.special._ufuncs import _binom_pmf
 
 from .core import (
     ENUMERATION_CAP,
@@ -357,7 +357,7 @@ def count_law(model, n, rel_tol=QUAD_REL_TOL):
 
         return belief_expectation(model.belief, rows, rel_tol=rel_tol)
     if isinstance(model, Independent) or n == 1:
-        return binom.pmf(k, n, 0.5)
+        return _binom_pmf(k, n, 0.5)
     logw = _meanfield_log_weights(model.coupling, n)
     return np.exp(logw - logsumexp(logw))
 

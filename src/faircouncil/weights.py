@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special._ufuncs import _binom_pmf
 
 from . import estimators
 from .commonbelief import second_moment
@@ -198,10 +198,10 @@ def state_tie_probability(state):
         return 0.0
     model = state.model
     if isinstance(model, Independent):
-        return float(binom.pmf(n // 2, n, 0.5))
+        return float(_binom_pmf(n // 2, n, 0.5))
     if isinstance(model, CommonBelief):
         def mass(zs):
-            return binom.pmf(n // 2, n, (1.0 + zs) / 2.0)
+            return _binom_pmf(n // 2, n, (1.0 + zs) / 2.0)
 
         return float(belief_expectation(model.belief, mass))
     return magnetization_pmf(model.coupling, n).prob_of(0)
