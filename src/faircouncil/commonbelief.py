@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .core import CommonBelief
+from .core import CommonBelief, check_population
 from .measures import (
     DiscreteSymmetric,
     PointMassZero,
@@ -183,10 +183,7 @@ def margin_bound_check(belief, n, mode="exact", samples=100_000, rng=None, worke
     estimates the margin by simulation (the coupling gap stays exact).
     """
     validate_belief(belief)
-    if n < 1:
-        raise ValueError("population must be >= 1")
-    if n % 1 != 0:
-        raise ValueError(f"population must be a whole number, got {n!r}")
+    check_population(n)
     model = CommonBelief(belief)
     if mode == "exact":
         mean_margin = estimators.expected_margin_exact(model, n).value
@@ -216,9 +213,7 @@ def margin_bound_check(belief, n, mode="exact", samples=100_000, rng=None, worke
 def vote_share_law(belief, n):
     """Exact law of (1/N) sum of votes: lattice points (2k - N)/N for
     k = 0..N and their mixture probabilities under the belief."""
-    # per-lattice-point mass only needs to beat the atomization error of
-    # the transport distance, so run the ladder at a lighter tolerance
-    probs = np.maximum(count_law(CommonBelief(belief), n, rel_tol=1e-8), 0.0)
+    probs = np.maximum(count_law(CommonBelief(belief), n), 0.0)
     probs /= probs.sum()
     return (2.0 * np.arange(n + 1) - n) / n, probs
 

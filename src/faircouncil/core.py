@@ -70,6 +70,17 @@ def signs(values):
     return np.where(np.asarray(values) > 0, 1, -1).astype(np.int64)
 
 
+def check_population(n):
+    """Return the population n as an int; raise ValueError unless it is a
+    whole number >= 1. The binomial ufuncs and numpy's binomial draws take
+    a real n and would return a value for a fractional one."""
+    if n < 1:
+        raise ValueError("population must be >= 1")
+    if n % 1 != 0:
+        raise ValueError(f"population must be a whole number, got {n!r}")
+    return int(n)
+
+
 # --------------------------------------------------------------------------
 # voting models
 # --------------------------------------------------------------------------

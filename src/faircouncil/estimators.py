@@ -24,6 +24,7 @@ from .core import (
     Independent,
     MarginEstimate,
     MeanField,
+    check_population,
     split_budget,
 )
 from . import meanfield
@@ -99,18 +100,14 @@ def belief_coupling_moment(belief, n, rel_tol=1e-8):
 
 def check_exact_route(model, n, max_population=DEFAULT_POPULATION_BUDGET):
     """Raise ValueError unless the exact routes take (model, n): a valid
-    model, n >= 1 and n within the population budget."""
+    model, a whole n >= 1 and n within the population budget."""
     validate_model(model)
-    if n < 1:
-        raise ValueError("population must be >= 1")
+    check_population(n)
     if n > max_population:
         raise ValueError(
             f"population {n} exceeds the exact-route budget {max_population}; "
             "use the Monte Carlo or asymptotic estimator"
         )
-    # the binomial ufuncs take a real n and would return a value for it
-    if n % 1 != 0:
-        raise ValueError(f"population must be a whole number, got {n!r}")
 
 
 def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):

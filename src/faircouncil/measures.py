@@ -9,12 +9,14 @@ the votes:
 * the mean-field (Curie-Weiss) Gibbs measure with weight
   exp(J S^2 / (2 (N-1))) in the total spin S.
 
-Continuous belief measures are integrated by Gauss-Legendre quadrature with
-node doubling; a gridded density is the piecewise-linear density through
-its nodes, integrated cell by cell. ``count_law`` gives the law of the
-yes-count K = (N + S)/2 per (model, N); exact enumeration reads one such
-law per state, and ``pmf_exact`` shares P(K = k) among the C(N, k)
-outcomes with k yes-votes. ``totals_sampler`` builds a total-spin sampler
+A continuous belief is uniform or the piecewise-linear density through a
+grid's nodes. Expectations of other functions over it are integrated by
+Gauss-Legendre quadrature with node doubling, cell by cell. ``count_law``
+gives the law of the yes-count K = (N + S)/2 per (model, N) with no
+quadrature: on each cell of a continuous belief, P(K = k) is a difference
+of binomial cdfs (regularized incomplete betas). Exact enumeration and the
+common-belief tie P(S = 0) read this law, and ``pmf_exact`` shares
+P(K = k) among the C(N, k) outcomes with k yes-votes. ``totals_sampler`` builds a total-spin sampler
 once per (model, N); Monte Carlo callers draw every worker substream's
 chunk from it.
 """
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_legendre, xlogy
-from scipy.special._ufuncs import _binom_pmf
+from scipy.special import gammaln, logsumexp, roots_legendre
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 
 from .core import (
     ENUMERATION_CAP,
@@ -33,6 +35,7 @@ from .core import (
     Independent,
     MeanField,
     as_outcome,
+    check_population,
 )
 
 MASS_TOL = 1e-12
@@ -156,7 +159,7 @@ _leggauss = lru_cache(maxsize=None)(roots_legendre)
 
 
 def _half_line_cells(belief):
-    """Rows (lower edge, width, density at both ends) of the cells of a
+    """Rows (lower edge, upper edge, density at both ends) of the cells of a
     continuous belief on z >= 0: one flat cell for a uniform belief, and
     the piecewise-linear density through a grid's nodes, split at zero."""
     if isinstance(belief, UniformSymmetric):
@@ -164,7 +167,7 @@ def _half_line_cells(belief):
     nodes = np.array(belief.nodes)
     edges = np.union1d(0.0, nodes[nodes > 0.0])
     rho = np.interp(edges, nodes, belief.densities)
-    return np.column_stack([edges[:-1], np.diff(edges), rho[:-1], rho[1:]])
+    return np.column_stack([edges[:-1], edges[1:], rho[:-1], rho[1:]])
 
 
 def belief_expectation(belief, f, rel_tol=QUAD_REL_TOL):
@@ -189,12 +192,13 @@ def belief_expectation(belief, f, rel_tol=QUAD_REL_TOL):
         ws = np.array([w for _, w in belief.atoms])
         return np.tensordot(ws, f(zs), axes=(0, 0))
     cells = _half_line_cells(belief)
-    span = cells[:, 1].sum()
+    span = np.sum(cells[:, 1] - cells[:, 0])
     prev = None
     n = QUAD_START_NODES
     while True:
         zs, ws = [], []
-        for lo, width, r0, r1 in cells:
+        for lo, hi, r0, r1 in cells:
+            width = hi - lo
             x, w = _leggauss(math.ceil(n * width / span))
             t = (x + 1.0) / 2.0
             zs.append(lo + width * t)
@@ -319,6 +323,7 @@ def magnetization_pmf(coupling, n):
     """
     if coupling < 0.0:
         raise ValueError("coupling must be >= 0")
+    n = check_population(n)
     if n < 2:
         raise ValueError("magnetization pmf needs n >= 2")
     nodes = np.union1d(np.arange((n + 1) // 2, n + 1, math.isqrt(n)), n)
@@ -335,13 +340,55 @@ def magnetization_pmf(coupling, n):
     return MagnetizationPmf(n=n, lo=lo, half=half)
 
 
-def count_law(model, n, rel_tol=QUAD_REL_TOL):
+def _cdf_drop(k, m, p0, p1):
+    """F(k; p0) - F(k; p1) for the Binomial(m, p) cdf F and p0 < p1, at
+    ascending k. Where F(k; p1) is above about 1/2 both terms are, and the
+    drop is taken as sf(k; p1) - sf(k; p0), so that it does not cancel."""
+    split = np.searchsorted(k, m * p1)
+    low, high = k[:split], k[split:]
+    return np.concatenate([_binom_cdf(low, m, p0) - _binom_cdf(low, m, p1),
+                           _binom_sf(high, m, p1) - _binom_sf(high, m, p0)])
+
+
+def _cell_count_mass(k, n, lo, hi, r0, r1):
+    """The integral of rho(z) C(n, k) p^k (1 - p)^(n - k), p = (1 + z)/2,
+    over the cell lo <= z <= hi on which the density runs linearly from r0
+    to r1. In p the density is alpha + beta p, and the two Beta integrals
+    are binomial cdf drops (DLMF 8.17): the row integrates to
+    [F_(n+1)(k; p0) - F_(n+1)(k; p1)]/(n + 1), and p times it to
+    (k + 1)/((n + 1)(n + 2)) [F_(n+2)(k + 1; p0) - F_(n+2)(k + 1; p1)]."""
+    p0, p1 = (1.0 + lo) / 2.0, (1.0 + hi) / 2.0
+    beta = (r1 - r0) / (p1 - p0)
+    mass = (r0 - beta * p0) / (n + 1) * _cdf_drop(k, n + 1, p0, p1)
+    if beta:
+        mass += beta * (k + 1) / ((n + 1) * (n + 2)) * _cdf_drop(k + 1, n + 2, p0, p1)
+    # dz = 2 dp
+    return 2.0 * mass
+
+
+def _common_belief_law(belief, n, k):
+    """P(K = k) under a validated common belief, at ascending yes-counts k
+    that the mirror k -> n - k maps onto themselves: all of 0..n, or the
+    middle count n/2 alone. A point mass gives the fair binomial row and
+    atoms a weighted sum of rows; a continuous belief sums the closed form
+    of each half-line cell, h, and mirrors it, h + h[::-1]."""
+    if isinstance(belief, PointMassZero):
+        return _binom_pmf(k, n, 0.5)
+    if isinstance(belief, DiscreteSymmetric):
+        zs, ws = np.array(belief.atoms).T
+        return ws @ _binom_pmf(k, n, (1.0 + zs[:, None]) / 2.0)
+    half = sum(_cell_count_mass(k, n, *cell) for cell in _half_line_cells(belief))
+    return half + half[::-1]
+
+
+def count_law(model, n):
     """Law of the yes-count K = (n + S)/2: P(K = k) for k = 0..n.
 
     Independent voters, and a single mean-field voter, give the fair
-    binomial row. A common belief integrates the binomial rows C(n, k)
-    p^k (1 - p)^(n - k), p = (1 + z)/2, in one vector-valued quadrature
-    ladder to ``rel_tol``. The mean field gives its Gibbs law from the
+    binomial row. A common belief gives its law in closed form, with no
+    quadrature: binomial rows for a point mass or atoms, and binomial cdf
+    differences per cell for a uniform or gridded belief, whose density is
+    piecewise linear. The mean field gives its Gibbs law from the
     definition, normalized over all n + 1 log-weights: meant for small n,
     and kept apart from the windowed ``magnetization_pmf``, which
     enumeration checks.
@@ -349,13 +396,7 @@ def count_law(model, n, rel_tol=QUAD_REL_TOL):
     validate_model(model)
     k = np.arange(n + 1, dtype=float)
     if isinstance(model, CommonBelief):
-        log_binom = _log_binom(n, k)
-
-        def rows(zs):
-            p = (1.0 + np.asarray(zs)[:, None]) / 2.0
-            return np.exp(log_binom[None, :] + xlogy(k[None, :], p) + xlogy(n - k[None, :], 1.0 - p))
-
-        return belief_expectation(model.belief, rows, rel_tol=rel_tol)
+        return _common_belief_law(model.belief, n, k)
     if isinstance(model, Independent) or n == 1:
         return _binom_pmf(k, n, 0.5)
     logw = _meanfield_log_weights(model.coupling, n)
@@ -449,8 +490,7 @@ def totals_sampler(model, n):
     and the draws are bit-identical to ``gen.choice``.
     """
     validate_model(model)
-    if n < 1:
-        raise ValueError("population must be >= 1")
+    check_population(n)
     if isinstance(model, CommonBelief):
         draw_z = belief_sampler(model.belief)
 

@@ -37,12 +37,13 @@ from .core import (
     CommonBelief,
     Independent,
     MeanField,
+    check_population,
     signs,
     split_budget,
 )
 from .measures import (
+    _common_belief_law,
     _enumeration_law,
-    belief_expectation,
     magnetization_pmf,
     totals_sampler,
     validate_model,
@@ -66,8 +67,10 @@ class StateSpec:
     model: object
 
     def __post_init__(self):
-        if self.population < 1:
-            raise ValueError(f"state {self.name!r} needs population >= 1")
+        try:
+            check_population(self.population)
+        except ValueError as err:
+            raise ValueError(f"state {self.name!r}: {err}") from None
         validate_model(self.model)
 
 
@@ -200,10 +203,8 @@ def state_tie_probability(state):
     if isinstance(model, Independent):
         return float(_binom_pmf(n // 2, n, 0.5))
     if isinstance(model, CommonBelief):
-        def mass(zs):
-            return _binom_pmf(n // 2, n, (1.0 + zs) / 2.0)
-
-        return float(belief_expectation(model.belief, mass))
+        # the middle yes-count n/2 is its own mirror image
+        return float(_common_belief_law(model.belief, n, np.array([n / 2]))[0])
     return magnetization_pmf(model.coupling, n).prob_of(0)
 
 

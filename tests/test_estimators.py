@@ -89,6 +89,10 @@ class TestExact:
         with pytest.raises(ValueError):
             expected_margin_exact(Independent(), 0)
 
+    @pytest.mark.parametrize("coupling", [0.5, 1.5])
+    def test_meanfield_takes_a_whole_float_population(self, coupling):
+        assert expected_margin_exact(MeanField(coupling), 7.0) == expected_margin_exact(MeanField(coupling), 7)
+
     def test_metadata(self):
         est = expected_margin_exact(Independent(), 5)
         assert est.method == "exact"
@@ -164,6 +168,12 @@ class TestMonteCarlo:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             expected_margin_mc(Independent(), 4, 1, RngStream(0))
+
+    @pytest.mark.parametrize("model", [Independent(), CommonBelief(UniformSymmetric(1.0)), MeanField(0.5)])
+    def test_rejects_a_fractional_population(self, model):
+        # numpy's binomial draws would truncate n = 2.5 to 2
+        with pytest.raises(ValueError, match="whole number"):
+            expected_margin_mc(model, 2.5, 1000, RngStream(1))
 
 
 class TestAsymptotic:

@@ -449,6 +449,10 @@ class TestCountLaw:
         pmfs = [pmf_exact(model, _votes(n, j)) * math.comb(n, j) for j in range(n + 1)]
         np.testing.assert_allclose(pmfs, closed, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 1000])
+    def test_point_mass_belief_gives_the_independent_law(self, n):
+        assert np.array_equal(count_law(CommonBelief(PointMassZero()), n), count_law(Independent(), n))
+
     def test_invalid_models_raise_before_the_cache(self):
         bad_grid = CommonBelief(GriddedDensity(np.linspace(-1, 1, 21), np.full(21, 0.4)))
         for route in (pmf_exact, lambda m, o: count_law(m, len(o))):

@@ -3,15 +3,29 @@
 The oracles share no code with the library: the independent-voter margin
 is the central binomial closed form, the shifted-binomial moment is a
 direct sum of |2k - n| P(k) outward from the mode, term by term through
-the pmf ratio, until the terms drop below the working precision, and the
-mean-field moments are the same kind of sum over the Gibbs weights.
+the pmf ratio, until the terms drop below the working precision, the
+mean-field moments are the same kind of sum over the Gibbs weights, and
+the law of the yes-count under a piecewise-linear belief is a sum of
+regularized incomplete betas over the belief's cells on all of [-1, 1].
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
 import pytest
 
-from faircouncil import Independent, MeanField, StateSpec, expected_margin_exact
+from faircouncil import (
+    CommonBelief,
+    GriddedDensity,
+    Independent,
+    MeanField,
+    StateSpec,
+    UniformSymmetric,
+    expected_margin_exact,
+)
 from faircouncil.estimators import binom_abs_moments
+from faircouncil.measures import count_law
 from faircouncil.weights import state_second_moment, state_tie_probability
 
 DIGITS = 30
@@ -115,3 +129,49 @@ def test_mean_field_moments(coupling, n):
               state_tie_probability(state))
     for name, value, truth in zip(("E|S|", "E S^2", "P(S=0)"), values, mean_field_moments(coupling, n)):
         assert _relative_error(value, truth) <= 1e-12, name
+
+
+def piecewise_linear_count_law(nodes, densities, n, ks, digits):
+    """P(K = k) at each k in ``ks`` when the belief density runs linearly
+    between the given nodes. On a cell [p0, p1] of p = (1 + z)/2 the density
+    in z is alpha + beta p, dz = 2 dp, and C(n, k) p^k (1 - p)^(n - k) and p
+    times it integrate to I(k + 1, n - k + 1)/(n + 1) and
+    (k + 1) I(k + 2, n - k + 1)/((n + 1)(n + 2)), with I the regularized
+    incomplete beta over [p0, p1]."""
+    with mp.workdps(digits):
+        law = []
+        for k in ks:
+            total = mp.mpf(0)
+            for z0, z1, r0, r1 in zip(nodes[:-1], nodes[1:], densities[:-1], densities[1:]):
+                p0, p1 = (1 + mp.mpf(z0)) / 2, (1 + mp.mpf(z1)) / 2
+                beta = (mp.mpf(r1) - r0) / (p1 - p0)
+                alpha = r0 - beta * p0
+                row = mp.betainc(k + 1, n - k + 1, p0, p1, regularized=True) / (n + 1)
+                tilted = (mp.betainc(k + 2, n - k + 1, p0, p1, regularized=True)
+                          * (k + 1) / ((n + 1) * (n + 2)))
+                total += 2 * (alpha * row + beta * tilted)
+            law.append(total)
+        return law
+
+
+HAT_NODES = np.linspace(-1, 1, 201)
+CONTINUOUS_BELIEFS = {
+    **{f"uniform_{a:g}": ((-a, a), (0.5 / a, 0.5 / a)) for a in (1.0, 0.1, 1e-3)},
+    "grid_flat": (np.linspace(-1, 1, 11), np.full(11, 0.5)),
+    "grid_hat": (HAT_NODES, 1.0 - np.abs(HAT_NODES)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTINUOUS_BELIEFS))
+@pytest.mark.parametrize("n", [16, 317])
+def test_continuous_belief_count_law(name, n):
+    nodes, densities = CONTINUOUS_BELIEFS[name]
+    belief = UniformSymmetric(nodes[1]) if name.startswith("uniform") else GriddedDensity(nodes, densities)
+    law = count_law(CommonBelief(belief), n)
+    ks = sorted({0, 1, n // 3, n // 2, n - 1, n})
+    # mpmath takes the betainc difference at the working precision, so the
+    # smallest entry needs its own digits on top of the 30 checked
+    digits = DIGITS + math.ceil(-math.log10(min(law[ks])))
+    truths = piecewise_linear_count_law(list(nodes), list(densities), n, ks, digits)
+    for k, truth in zip(ks, truths):
+        assert _relative_error(law[k], truth) <= 1e-12, k

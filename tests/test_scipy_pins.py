@@ -1,11 +1,12 @@
 """The library's scipy shortcuts, pinned to the public ``scipy.stats`` calls
 they replace.
 
-The binomial kernel, the tie probability and the fair binomial row call the
-Boost ufuncs ``scipy.special._ufuncs._binom_cdf``/``_binom_pmf`` directly,
-and ``distribution_distance`` takes W1 in numpy, so that importing the
-library never imports ``scipy.stats``. These tests may import it: if a scipy
-release moves the private names or changes their values, they fail here.
+The binomial kernel, the tie probability and the law of the yes-count call
+the Boost ufuncs ``scipy.special._ufuncs._binom_cdf``/``_binom_sf``/
+``_binom_pmf`` directly, and ``distribution_distance`` takes W1 in numpy,
+so that importing the library never imports ``scipy.stats``. These tests
+may import it: if a scipy release moves the private names or changes their
+values, they fail here.
 """
 
 import math
@@ -59,6 +60,12 @@ class TestBinomialUfuncs:
     def test_cdf_matches_binom_cdf(self, n, p):
         for k in (n // 2, math.floor(n * p)):
             assert np.array_equal(estimators._binom_cdf(k, n, p), binom.cdf(k, n, p))
+
+    @pytest.mark.parametrize("n", POPULATIONS)
+    @pytest.mark.parametrize("p", SUCCESS_PS)
+    def test_sf_matches_binom_sf(self, n, p):
+        for k in (n // 2, math.floor(n * p)):
+            assert np.array_equal(measures._binom_sf(k, n, p), binom.sf(k, n, p))
 
     @pytest.mark.parametrize("n", POPULATIONS)
     def test_vectorized_over_p(self, n):

@@ -81,6 +81,12 @@ class TestCouncilSpec:
         with pytest.raises(ValueError):
             CouncilSpec([])
 
+    def test_population_whole(self):
+        with pytest.raises(ValueError, match="'a': population must be a whole number"):
+            CouncilSpec([("a", 2.5, Independent())])
+        with pytest.raises(ValueError, match="whole number"):
+            state_tie_probability(StateSpec("a", 2.5, Independent()))
+
 
 class TestWeightVector:
     def test_normalized_copy(self):
@@ -146,6 +152,14 @@ class TestStateMoments:
             assert state_tie_probability(StateSpec("x", n, model)) == pytest.approx(
                 direct, abs=1e-12
             )
+
+    @pytest.mark.parametrize("belief", [UniformSymmetric(1.0),
+                                        GriddedDensity(np.linspace(-1, 1, 11), np.full(11, 0.5))])
+    @pytest.mark.parametrize("n", [10**5, 10**7])
+    def test_uniform_belief_tie_is_one_over_n_plus_one(self, belief, n):
+        # every yes-count is equally likely under a uniform p
+        tie = state_tie_probability(StateSpec("x", n, CommonBelief(belief)))
+        assert tie == pytest.approx(1.0 / (n + 1), rel=1e-14, abs=0)
 
 
 class TestDeltaRoutes:
