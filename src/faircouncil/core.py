@@ -25,7 +25,7 @@ def as_outcome(votes, expected_n=None):
     arr = np.asarray(votes)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("outcome must be a non-empty 1-d sequence of spins")
-    if not np.all((arr == 1) | (arr == -1)):
+    if not ((arr == 1) | (arr == -1)).all():
         raise ValueError("outcome entries must be exactly -1 or +1")
     if expected_n is not None and arr.size != expected_n:
         raise ValueError(f"outcome has {arr.size} votes, expected {expected_n}")

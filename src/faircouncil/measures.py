@@ -16,9 +16,13 @@ gives the law of the yes-count K = (N + S)/2 per (model, N) with no
 quadrature: on each cell of a continuous belief, P(K = k) is a difference
 of binomial cdfs (regularized incomplete betas). Exact enumeration and the
 common-belief tie P(S = 0) read this law, and ``pmf_exact`` shares
-P(K = k) among the C(N, k) outcomes with k yes-votes. ``totals_sampler`` builds a total-spin sampler
-once per (model, N); Monte Carlo callers draw every worker substream's
-chunk from it.
+P(K = k) among the C(N, k) outcomes with k yes-votes. ``totals_sampler``
+builds a total-spin sampler once per (model, N); Monte Carlo callers draw
+every worker substream's chunk from it. A mean-field total is the inverse
+cdf of its law, read from a guide table of at most 2^16 int32 entries over
+equal buckets of [0, 1); only the buckets that a cdf value splits are
+searched, and the power-of-two bucket count keeps every draw identical to
+``Generator.choice``.
 """
 
 import math
@@ -96,9 +100,20 @@ BeliefDistribution = PointMassZero | UniformSymmetric | DiscreteSymmetric | Grid
 
 
 def validate_belief(belief):
-    """Check total mass, symmetry, and support of a belief distribution."""
+    """Check total mass, symmetry, and support of a belief distribution,
+    and return it. A valid belief is checked once, cached on the frozen
+    belief; a failed check is not cached, so it raises at every use. An
+    unhashable argument is never a belief and takes the uncached check."""
+    try:
+        _checked_belief(belief)
+    except TypeError:
+        _check_belief(belief)
+    return belief
+
+
+def _check_belief(belief):
     if isinstance(belief, (PointMassZero, UniformSymmetric)):
-        return belief
+        return
     if isinstance(belief, DiscreteSymmetric):
         atoms = belief.atoms
         if not atoms:
@@ -119,7 +134,7 @@ def validate_belief(belief):
                 continue
             if abs(weight_of.get(-z, math.nan) - w) > MASS_TOL or math.isnan(weight_of.get(-z, math.nan)):
                 raise ValueError(f"atom at {z} lacks a mirror of equal weight")
-        return belief
+        return
     if isinstance(belief, GriddedDensity):
         nodes = np.array(belief.nodes)
         dens = np.array(belief.densities)
@@ -138,8 +153,11 @@ def validate_belief(belief):
         mass = np.trapezoid(dens, nodes)
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"gridded density integrates to {mass!r}, not 1")
-        return belief
+        return
     raise TypeError(f"not a belief distribution: {belief!r}")
+
+
+_checked_belief = lru_cache(maxsize=256)(_check_belief)
 
 
 def validate_model(model):
@@ -479,15 +497,45 @@ def sample_belief(belief, gen, size):
     return belief_sampler(belief)(gen, size)
 
 
+#: Cap on the guide table's bucket count, a power of two: 256 KB of int32.
+GUIDE_MAX_BUCKETS = 2**16
+
+
+def _guide_table(cdf, peak):
+    """Guide table (Chen and Asau 1974; Devroye 1986, III.2.4) over an
+    ascending cdf that ends at 1: ``table[j]`` is the index that
+    ``cdf.searchsorted(u, side="right")`` returns for every u in the bucket
+    [j/m, (j+1)/m), or -1 where some cdf value lies in (j/m, (j+1)/m] and
+    the index varies. m is 16/peak rounded up to a power of two, so that
+    the atom of largest mass ``peak`` spans about 16 buckets, and capped
+    at ``GUIDE_MAX_BUCKETS``; peak <= 1 keeps m >= 16.
+
+    With m a power of two, u * m and cdf * m are exact for doubles in
+    [0, 1], so every bucket edge compares exactly. ``bincount`` of
+    ceil(cdf * m) counts the cdf values in each ((i-1)/m, i/m], and its
+    cumulative sum at j is #(cdf <= j/m): O(len(cdf) + m), no search."""
+    buckets = min(2 ** math.ceil(math.log2(16 / peak)), GUIDE_MAX_BUCKETS)
+    counts = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
+    table = np.cumsum(counts[:buckets], dtype=np.int32)
+    table[counts[1 : buckets + 1] > 0] = -1
+    return buckets, table
+
+
 def totals_sampler(model, n):
     """A sampler ``draw(gen, size)`` of total spins S = sum of votes.
 
     Everything that depends only on (model, n) is built here, once: the
     belief's sampler for a common belief, and for the mean field the cdf of
-    the magnetization law's window, inverted by the same cumsum/searchsorted
-    steps as ``gen.choice(support, p=probs)``. The zeros outside the window
-    add exactly, so the cdf equals that of the full law wherever it rises
-    and the draws are bit-identical to ``gen.choice``.
+    the magnetization law's window with its guide table. The cdf is the
+    cumulative sum that ``gen.choice(support, p=probs)`` forms; the zeros
+    outside the window add exactly, so it equals that of the full law
+    wherever it rises. Each draw takes one u = ``gen.random()`` and returns
+    the spin at ``cdf.searchsorted(u, side="right")``, as ``gen.choice``
+    does: the guide table gives that index in one lookup, and only a u in
+    a bucket that some cdf value splits is searched. u is a multiple of
+    2^-53 and the bucket count a power of two, so the bucket of u is exact
+    and the draws are bit-identical to ``gen.choice``. The table is int32
+    and capped at ``GUIDE_MAX_BUCKETS`` = 2^16 entries, 256 KB per sampler.
     """
     validate_model(model)
     check_population(n)
@@ -505,7 +553,17 @@ def totals_sampler(model, n):
     spins, mass = magnetization_pmf(model.coupling, n).window()
     cdf = np.cumsum(mass)
     cdf /= cdf[-1]
-    return lambda gen, size: spins[cdf.searchsorted(gen.random(size), side="right")]
+    buckets, table = _guide_table(cdf, mass.max())
+
+    def draw(gen, size):
+        u = gen.random(size)
+        idx = table[(u * buckets).astype(np.intp)]
+        ambiguous = idx < 0
+        if ambiguous.any():
+            idx[ambiguous] = cdf.searchsorted(u[ambiguous], side="right")
+        return spins[idx]
+
+    return draw
 
 
 def _totals_with_generator(model, n, size, gen):
@@ -525,6 +583,7 @@ def sample(model, n, rng):
     by drawing the total spin and then placing the yes-votes on a uniformly
     random subset of voters.
     """
+    n = check_population(n)
     gen = rng.generator()
     if isinstance(model, Independent):
         return (2 * gen.integers(0, 2, size=n, dtype=np.int8) - 1).astype(np.int8)
@@ -540,6 +599,7 @@ def sample(model, n, rng):
 
 def sample_outcomes(model, n, size, rng):
     """Matrix of ``size`` outcomes (rows of spins), vectorized for small n."""
+    n = check_population(n)
     gen = rng.generator()
     if isinstance(model, Independent):
         return (2 * gen.integers(0, 2, size=(size, n), dtype=np.int8) - 1).astype(np.int8)

@@ -24,6 +24,7 @@ from .measures import (
     field_to_belief,
     magnetization_pmf,
     pmf_exact,
+    totals_sampler,
 )
 from .weights import CouncilSpec, delta, optimal_weights, verify_minimizer
 
@@ -203,6 +204,20 @@ def _check_monte_carlo():
     return True, ""
 
 
+def _check_sampler_inverse_cdf():
+    for j, n in ((0.0, 2), (0.7, 101), (1.0, 224_431), (2.0, 10_000)):
+        spins, mass = magnetization_pmf(j, n).window()
+        cdf = np.cumsum(mass)
+        cdf /= cdf[-1]
+        gen, ref = RngStream(5, n).generator(), RngStream(5, n).generator()
+        drawn = totals_sampler(MeanField(j), n)(gen, 50_000)
+        if not np.array_equal(drawn, spins[cdf.searchsorted(ref.random(50_000), side="right")]):
+            return False, f"J={j} n={n}: draws differ from the inverse cdf"
+        if gen.random() != ref.random():
+            return False, f"J={j} n={n}: generator state differs from the inverse cdf"
+    return True, ""
+
+
 def _check_field_map():
     for z in (-0.99, -0.5, 0.0, 0.3, 0.7616, 0.999):
         if abs(field_to_belief(belief_to_field(z)) - z) > 1e-12:
@@ -215,6 +230,7 @@ CHECKS = (
     ("measures.pmf_structure", _check_pmf_structure),
     ("measures.magnetization_enumeration", _check_magnetization_vs_enumeration),
     ("measures.field_map", _check_field_map),
+    ("measures.sampler_inverse_cdf", _check_sampler_inverse_cdf),
     ("weights.sign_identity", _check_sign_identity),
     ("estimators.bruteforce_margins", _check_margins_vs_bruteforce),
     ("meanfield.fixed_point", _check_fixed_point),

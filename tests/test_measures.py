@@ -25,7 +25,10 @@ from faircouncil import (
 )
 from faircouncil.commonbelief import vote_share_law
 from faircouncil.measures import (
+    GUIDE_MAX_BUCKETS,
+    _checked_belief,
     _enumeration_law,
+    _guide_table,
     _log_binom,
     _meanfield_log_weights,
     belief_expectation,
@@ -89,6 +92,14 @@ class TestBeliefValidation:
         nodes = np.linspace(-1, 1, 21)
         with pytest.raises(ValueError):
             validate_belief(GriddedDensity(nodes, np.full(21, 0.4)))
+
+    def test_belief_is_validated_once_and_returned_as_given(self):
+        belief = DiscreteSymmetric([(-0.3, 0.5), (0.3, 0.5)])
+        validate_belief(belief)
+        before = _checked_belief.cache_info()
+        twin = DiscreteSymmetric([(-0.3, 0.5), (0.3, 0.5)])
+        assert validate_belief(twin) is twin
+        assert _checked_belief.cache_info().hits == before.hits + 1
 
 
 class TestPmfExact:
@@ -250,6 +261,14 @@ class TestSamplers:
             assert np.array_equal(a, b)
             assert set(np.unique(a)) <= {-1, 1}
 
+    @pytest.mark.parametrize("model", [Independent(), CommonBelief(UniformSymmetric(0.5))])
+    @pytest.mark.parametrize("n, message", [(0, ">= 1"), (2.5, "whole number")])
+    def test_outcome_samplers_check_the_population(self, model, n, message):
+        with pytest.raises(ValueError, match=message):
+            sample(model, n, RngStream(1))
+        with pytest.raises(ValueError, match=message):
+            sample_outcomes(model, n, 3, RngStream(1))
+
     def test_large_population_mean_is_centered(self):
         totals = sample_totals(Independent(), 10**6, 10_000, RngStream(5))
         mean = totals.mean()
@@ -343,6 +362,70 @@ class TestTotalsSampler:
     def test_rejects_empty_population(self):
         with pytest.raises(ValueError):
             totals_sampler(MeanField(1.0), 0)
+
+
+def _window_cdf(coupling, n):
+    spins, mass = magnetization_pmf(coupling, n).window()
+    cdf = np.cumsum(mass)
+    cdf /= cdf[-1]
+    return spins, mass, cdf
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns the given values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+class TestGuideTable:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 4.0), st.integers(2, 2 * 10**5), st.integers(0, 2**32 - 1))
+    def test_draws_equal_the_plain_inverse_cdf(self, coupling, n, seed):
+        spins, _, cdf = _window_cdf(coupling, n)
+        gen_a, gen_b = RngStream(seed).generator(), RngStream(seed).generator()
+        drawn = totals_sampler(MeanField(coupling), n)(gen_a, 20_000)
+        assert np.array_equal(drawn, spins[cdf.searchsorted(gen_b.random(20_000), side="right")])
+        assert np.array_equal(gen_a.random(8), gen_b.random(8))
+
+    def test_dyadic_cdf_on_bucket_edges(self):
+        # MeanField(0) at n = 2 is Binomial(2, 1/2): cdf 0.25, 0.75, 1.0,
+        # each value on a bucket edge of the 32-bucket table
+        spins, mass, cdf = _window_cdf(0.0, 2)
+        assert cdf.tolist() == [0.25, 0.75, 1.0]
+        buckets, table = _guide_table(cdf, mass.max())
+        assert buckets == 32
+        below = np.nextafter([0.25, 0.75, 1.0], 0.0)
+        u = np.concatenate([[0.0, 0.25, 0.5, 0.75], below, np.arange(32) / 32.0])
+        drawn = totals_sampler(MeanField(0.0), 2)(_FixedUniforms(u), u.size)
+        assert np.array_equal(drawn, spins[cdf.searchsorted(u, side="right")])
+        assert drawn[:4].tolist() == [-2, 0, 0, 2]
+        assert drawn[4:7].tolist() == [-2, 0, 2]
+
+    def test_capped_table_falls_back_to_search(self):
+        spins, mass, cdf = _window_cdf(1.0, 224_431)
+        buckets, table = _guide_table(cdf, mass.max())
+        assert buckets == GUIDE_MAX_BUCKETS < 16 / mass.max()
+        u = RngStream(3).generator().random(50_000)
+        assert (table[(u * buckets).astype(np.intp)] < 0).any()
+        drawn = totals_sampler(MeanField(1.0), 224_431)(RngStream(3).generator(), 50_000)
+        assert np.array_equal(drawn, spins[cdf.searchsorted(u, side="right")])
+
+    @pytest.mark.parametrize("coupling, n", [(0.0, 2), (0.5, 1001), (1.0, 224_431),
+                                             (1.5, 10**6), (4.0, 10**7)])
+    def test_table_is_small_int32(self, coupling, n):
+        _, mass, cdf = _window_cdf(coupling, n)
+        buckets, table = _guide_table(cdf, mass.max())
+        assert table.dtype == np.int32
+        assert table.size == buckets <= GUIDE_MAX_BUCKETS
+        # every unambiguous bucket holds the search result at its lower edge
+        edges = np.arange(buckets) / buckets
+        sure = table >= 0
+        assert np.array_equal(table[sure], cdf.searchsorted(edges[sure], side="right"))
 
 
 SAMPLER_BELIEFS = {
