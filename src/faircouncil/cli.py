@@ -26,15 +26,22 @@ from .commonbelief import (
     margin_bound_check,
     mu_bar,
 )
-from .core import EXACT, MONTE_CARLO, CommonBelief, Independent, MeanField, RngStream
+from .core import ASYMPTOTIC, EXACT, MONTE_CARLO, CommonBelief, Independent, MeanField, RngStream
 from .measures import (
     DiscreteSymmetric,
     GriddedDensity,
     PointMassZero,
     UniformSymmetric,
+    validate_belief,
 )
 from .selftest import run_selftest
 from .weights import SEMI_EXACT, CouncilSpec, council_moments, delta as delta_op, optimal_weights
+
+#: Bounds on --workers and --trials, checked before anything is allocated:
+#: the budget is split into one chunk per worker, and a council simulation
+#: holds about seven 8-byte arrays of trials/workers entries per chunk.
+MAX_WORKERS = 1024
+MAX_TRIALS = 10**7
 
 
 class UsageError(Exception):
@@ -63,109 +70,130 @@ def _round12(value):
 # configuration parsing
 # --------------------------------------------------------------------------
 
+#: kind -> type name -> (dataclass, fields, label). A spec is
+#: {"type": name, field: value, ...} with the dataclass's field names as
+#: keys; a field named after a kind ("belief") holds a nested spec.
+_TYPES = {
+    "belief": {
+        "point_mass_zero": (PointMassZero, (), lambda b: "point_mass_zero"),
+        "uniform": (UniformSymmetric, ("a",), lambda b: f"uniform(a={fmt12(b.a)})"),
+        "atoms": (DiscreteSymmetric, ("atoms",), lambda b: f"atoms(k={len(b.atoms)})"),
+        "grid": (GriddedDensity, ("nodes", "densities"), lambda b: f"grid(k={len(b.nodes)})"),
+    },
+    "model": {
+        "independent": (Independent, (), lambda m: "independent"),
+        "common_belief": (CommonBelief, ("belief",),
+                          lambda m: f"common_belief({model_label(m.belief)})"),
+        "mean_field": (MeanField, ("coupling",), lambda m: f"mean_field(J={fmt12(m.coupling)})"),
+    },
+}
+_ENTRIES = {cls: (name, fields, label)
+            for table in _TYPES.values() for name, (cls, fields, label) in table.items()}
+
+#: Undocumented spellings of --model / "model_name".
+_ALIASES = {"meanfield": "mean_field", "commonbelief": "common_belief"}
+
+
+def _parse(spec, kind):
+    """A validated belief or model (``kind``) from its config spec."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("type"), str):
+        raise UsageError(f"{kind} must be an object with a 'type' field, got {spec!r}")
+    if spec["type"] not in _TYPES[kind]:
+        raise UsageError(f"unknown {kind} type {spec['type']!r}")
+    cls, fields, _ = _TYPES[kind][spec["type"]]
+    for field in fields:
+        if spec.get(field) is None:
+            raise UsageError(f"{kind} type {spec['type']!r} is missing field {field!r}")
+    values = {f: _parse(spec[f], f) if f in _TYPES else spec[f] for f in fields}
+    try:
+        obj = cls(**values)
+        return validate_belief(obj) if kind == "belief" else obj
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"invalid {kind} {spec!r}: {exc}") from exc
+
 
 def parse_belief(spec):
     """Belief from config JSON: {"type": "uniform", "a": ...} |
     {"type": "atoms", "atoms": [[z, w], ...]} | {"type": "point_mass_zero"} |
     {"type": "grid", "nodes": [...], "densities": [...]}."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise UsageError(f"belief must be an object with a 'type' field, got {spec!r}")
-    kind = spec["type"]
-    try:
-        if kind == "point_mass_zero":
-            return PointMassZero()
-        if kind == "uniform":
-            return UniformSymmetric(float(spec["a"]))
-        if kind == "atoms":
-            return DiscreteSymmetric([(float(z), float(w)) for z, w in spec["atoms"]])
-        if kind == "grid":
-            return GriddedDensity(spec["nodes"], spec["densities"])
-    except KeyError as exc:
-        raise UsageError(f"belief type {kind!r} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid belief {spec!r}: {exc}") from exc
-    raise UsageError(f"unknown belief type {kind!r}")
+    return _parse(spec, "belief")
 
 
 def parse_model(spec):
     """Model from config JSON: {"type": "independent"} |
     {"type": "common_belief", "belief": ...} | {"type": "mean_field", "coupling": J}."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise UsageError(f"model must be an object with a 'type' field, got {spec!r}")
-    kind = spec["type"]
-    if kind == "independent":
-        return Independent()
-    if kind == "common_belief":
-        if "belief" not in spec:
-            raise UsageError("common_belief model needs a 'belief' field")
-        return CommonBelief(parse_belief(spec["belief"]))
-    if kind == "mean_field":
-        if "coupling" not in spec:
-            raise UsageError("mean_field model needs a 'coupling' field")
-        try:
-            return MeanField(float(spec["coupling"]))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    raise UsageError(f"unknown model type {kind!r}")
+    return _parse(spec, "model")
 
 
-def model_to_config(model):
-    if isinstance(model, Independent):
-        return {"type": "independent"}
-    if isinstance(model, MeanField):
-        return {"type": "mean_field", "coupling": model.coupling}
-    belief = model.belief
-    if isinstance(belief, PointMassZero):
-        b = {"type": "point_mass_zero"}
-    elif isinstance(belief, UniformSymmetric):
-        b = {"type": "uniform", "a": belief.a}
-    elif isinstance(belief, DiscreteSymmetric):
-        b = {"type": "atoms", "atoms": [list(a) for a in belief.atoms]}
-    else:
-        b = {"type": "grid", "nodes": list(belief.nodes), "densities": list(belief.densities)}
-    return {"type": "common_belief", "belief": b}
+def model_to_config(obj):
+    """The config spec of a model or belief, which ``_parse`` reads back;
+    any other field value passes through, with tuples as lists."""
+    if isinstance(obj, tuple):
+        return [model_to_config(v) for v in obj]
+    if type(obj) not in _ENTRIES:
+        return obj
+    name, fields, _ = _ENTRIES[type(obj)]
+    return {"type": name, **{f: model_to_config(getattr(obj, f)) for f in fields}}
 
 
-def model_label(model):
-    if isinstance(model, Independent):
-        return "independent"
-    if isinstance(model, MeanField):
-        return f"mean_field(J={fmt12(model.coupling)})"
-    belief = model.belief
-    if isinstance(belief, PointMassZero):
-        return "common_belief(point_mass_zero)"
-    if isinstance(belief, UniformSymmetric):
-        return f"common_belief(uniform(a={fmt12(belief.a)}))"
-    if isinstance(belief, DiscreteSymmetric):
-        return f"common_belief(atoms(k={len(belief.atoms)}))"
-    return f"common_belief(grid(k={len(belief.nodes)}))"
+def model_label(obj):
+    """The short label of a model or belief in the data files."""
+    return _ENTRIES[type(obj)][2](obj)
 
 
-def _whole_number(value, what):
-    """An integer from config JSON: an int, or a float with no fraction."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{what} must be a whole number, got {value!r}")
-    return value
+def _convert(key, value, convert):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"invalid {key} {value!r}: {exc}") from exc
 
 
-def parse_council(cfg):
+def _setting(flag, cfg, key, convert, default=None):
+    """The flag if given, else config ``key``, else ``default``, where a JSON
+    null counts as absent; a value that ``convert`` rejects exits 1."""
+    value = flag if flag is not None else cfg.get(key)
+    return default if value is None else _convert(key, value, convert)
+
+
+def _whole(lo, hi=float("inf")):
+    """A converter to a whole number in [lo, hi]: an int, or a float with
+    no fraction."""
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+            raise ValueError("must be a whole number")
+        if not lo <= value <= hi:
+            raise ValueError(f"must lie in [{lo}, {hi}]")
+        return int(value)
+    return convert
+
+
+def _name(*choices):
+    """A converter to a name, '-' read as '_', and one of ``choices`` if
+    any are given."""
+    def convert(value):
+        if not isinstance(value, str):
+            raise TypeError("must be a string")
+        name = value.replace("-", "_")
+        if choices and name not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return name
+    return convert
+
+
+def parse_council(cfg, quota=None):
+    """The council of the config's 'states'; ``quota`` overrides its 'quota'."""
     if not isinstance(cfg.get("states"), list):
         raise UsageError("config needs a 'states' list to define the council")
     states = []
     for entry in cfg["states"]:
         if not isinstance(entry, dict):
             raise UsageError(f"state entry must be an object, got {entry!r}")
-        if not isinstance(entry.get("name", ""), str):
-            raise UsageError(f"state name must be a string, got {entry['name']!r}")
-        try:
-            states.append((entry["name"], _whole_number(entry["population"], "population"),
-                           parse_model(entry["model"])))
-        except KeyError as exc:
-            raise UsageError(f"state entry {entry!r} is missing field {exc}") from exc
+        if not isinstance(entry.get("name"), str):
+            raise UsageError(f"state name must be a string, got {entry.get('name')!r}")
+        states.append((entry["name"], _convert("population", entry.get("population"), _whole(1)),
+                       parse_model(entry.get("model"))))
     try:
-        return CouncilSpec(states, quota=float(cfg.get("quota", 0.5)))
+        return CouncilSpec(states, quota=_setting(quota, cfg, "quota", float, 0.5))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -176,24 +204,20 @@ def council_to_config(council):
         for s in council.states]}
 
 
+def _numbers(value):
+    if not isinstance(value, list):
+        raise TypeError("must be a list of numbers")
+    return [float(x) for x in value]
+
+
 def _council_weights(args, cfg, council):
-    """Weights from --weights, else the config's 'weights' list, else None
-    for the optimal ones; returned with their source."""
-    if args.weights is not None:
-        raw, source = args.weights.split(","), "explicit"
-    elif "weights" in cfg:
-        raw, source = cfg["weights"], "config"
-        if not isinstance(raw, list):
-            raise UsageError("config 'weights' must be a list of numbers")
-    else:
-        return None, "optimal"
-    try:
-        w = [float(x) for x in raw]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"weights must be numbers: {exc}") from exc
-    if len(w) != council.size:
+    """Weights from --weights over the config's 'weights' list, or None for
+    the optimal ones; returned with their source."""
+    flag = None if args.weights is None else args.weights.split(",")
+    w = _setting(flag, cfg, "weights", _numbers)
+    if w is not None and len(w) != council.size:
         raise UsageError(f"expected {council.size} weights, one per state, got {len(w)}")
-    return w, source
+    return w, "optimal" if w is None else "explicit" if flag else "config"
 
 
 def parse_grid(text):
@@ -203,21 +227,20 @@ def parse_grid(text):
     try:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi = int(lo_s), int(hi_s)
+        step = (float if step_s.startswith("x") else int)(step_s[1:])
     except ValueError as exc:
         raise UsageError(f"grid must look like lo:hi:x2 or lo:hi:+100, got {text!r}") from exc
     if lo < 1 or hi < lo:
         raise UsageError(f"grid bounds must satisfy 1 <= lo <= hi, got {text!r}")
     grid = []
     if step_s.startswith("x"):
-        factor = float(step_s[1:])
-        if factor <= 1.0:
-            raise UsageError("geometric grid factor must exceed 1")
+        if not 1.0 < step < float("inf"):
+            raise UsageError("geometric grid factor must exceed 1 and be finite")
         n = float(lo)
         while round(n) <= hi:
             grid.append(int(round(n)))
-            n *= factor
+            n *= step
     elif step_s.startswith("+"):
-        step = int(step_s[1:])
         if step < 1:
             raise UsageError("arithmetic grid step must be >= 1")
         grid = list(range(lo, hi + 1, step))
@@ -228,41 +251,39 @@ def parse_grid(text):
     return grid
 
 
+def _belief_spec(args, cfg):
+    """The belief spec from --belief/--a, else the config's 'belief'."""
+    if args.belief is None:
+        return cfg.get("belief")
+    return {"type": args.belief.replace("-", "_"), "a": args.a}
+
+
 def _model_from_args(args, cfg):
-    """Model from flags (--model/--J/--belief/--a), falling back to config."""
-    name = args.model if args.model is not None else cfg.get("model_name")
-    if name is None and "model" in cfg:
-        return parse_model(cfg["model"])
+    """The spec that --model/--J/--belief/--a assemble over 'model_name',
+    'coupling' and 'belief', else the config's 'model' spec."""
+    name = _setting(args.model, cfg, "model_name", _name())
     if name is None:
-        raise UsageError("no model given; pass --model or a config with a 'model' entry")
-    name = name.replace("-", "_")
-    if name == "independent":
-        return Independent()
-    if name in ("mean_field", "meanfield"):
-        coupling = args.J if args.J is not None else cfg.get("coupling")
-        if coupling is None:
-            raise UsageError("mean-field model needs --J")
-        try:
-            return MeanField(float(coupling))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    if name in ("common_belief", "commonbelief"):
-        if args.belief is not None:
-            kind = args.belief.replace("-", "_")
-            if kind == "point_mass_zero":
-                return CommonBelief(PointMassZero())
-            if kind == "uniform":
-                if args.a is None:
-                    raise UsageError("uniform belief needs --a")
-                try:
-                    return CommonBelief(UniformSymmetric(args.a))
-                except ValueError as exc:
-                    raise UsageError(str(exc)) from exc
-            raise UsageError(f"unknown --belief {args.belief!r} (atoms/grid go in the config file)")
-        if "belief" in cfg:
-            return CommonBelief(parse_belief(cfg["belief"]))
-        raise UsageError("common-belief model needs --belief or a config 'belief' entry")
-    raise UsageError(f"unknown model {args.model!r}")
+        if cfg.get("model") is None:
+            raise UsageError("no model given; pass --model or a config with a 'model' entry")
+        return parse_model(cfg["model"])
+    return parse_model({"type": _ALIASES.get(name, name),
+                        "coupling": _setting(args.J, cfg, "coupling", float),
+                        "belief": _belief_spec(args, cfg)})
+
+
+def _family(args, cfg):
+    """The Straffin family a_N = c N^(-beta) from --c/--beta over the
+    config's 'family' entry."""
+    fam = {} if cfg.get("family") is None else cfg["family"]
+    if not isinstance(fam, dict) or fam.get("type", "straffin") != "straffin":
+        raise UsageError(f"config 'family' must be a straffin family object, got {fam!r}")
+    beta = _setting(args.beta, fam, "beta", float)
+    if beta is None:
+        raise UsageError("the straffin family needs --beta")
+    try:
+        return StraffinFamily(_setting(args.c, fam, "c", float, 1.0), beta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # --------------------------------------------------------------------------
@@ -326,25 +347,14 @@ def _load_config(args):
 
 
 def _resolve_common(args, cfg, subcommand):
-    """Merge defaults, config file, and explicit flags (flags win); the seed
-    is always recorded explicitly, defaulting to 0."""
-    resolved = {
-        "subcommand": subcommand,
-        "seed": int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-        "workers": int(args.workers if args.workers is not None else cfg.get("workers", 1)),
-        "trials": int(args.trials if args.trials is not None else cfg.get("trials", 100_000)),
-        "format": args.format,
-        "out": args.out,
-        "config_path": args.config,
-    }
-    if resolved["workers"] < 1:
-        raise UsageError("--workers must be >= 1")
-    if resolved["seed"] < 0 or resolved["seed"] >= 2**64:
-        raise UsageError("--seed must fit in 64 bits")
-    args.seed = resolved["seed"]
-    args.workers = resolved["workers"]
-    args.trials = resolved["trials"]
-    return resolved
+    """Resolve the seed, workers and trials onto ``args`` and record them;
+    the seed is always recorded explicitly, defaulting to 0."""
+    args.seed = _setting(args.seed, cfg, "seed", _whole(0, 2**64 - 1), 0)
+    args.workers = _setting(args.workers, cfg, "workers", _whole(1, MAX_WORKERS), 1)
+    args.trials = _setting(args.trials, cfg, "trials", _whole(0, MAX_TRIALS), 100_000)
+    return {"subcommand": subcommand, "seed": args.seed, "workers": args.workers,
+            "trials": args.trials, "format": args.format, "out": args.out,
+            "config_path": args.config}
 
 
 def _require_trials(args, least):
@@ -360,7 +370,7 @@ def _require_trials(args, least):
 
 
 def _cmd_weights(args, cfg, resolved):
-    council = parse_council(cfg)
+    council = parse_council(cfg, args.quota)
     for s in council.states:
         try:
             estimators.check_exact_route(s.model, s.population)
@@ -387,13 +397,10 @@ def _cmd_weights(args, cfg, resolved):
 
 def _cmd_margin(args, cfg, resolved):
     model = _model_from_args(args, cfg)
-    n = args.N if args.N is not None else cfg.get("population")
+    n = _setting(args.N, cfg, "population", _whole(1))
     if n is None:
         raise UsageError("margin needs --N")
-    n = _whole_number(n, "population")
-    if n < 1:
-        raise UsageError(f"--N must be >= 1, got {n}")
-    method = (args.method or cfg.get("method", EXACT)).replace("-", "_")
+    method = _setting(args.method, cfg, "method", _name(EXACT, MONTE_CARLO, ASYMPTOTIC), EXACT)
     if method == MONTE_CARLO:
         _require_trials(args, 2)
     resolved.update({"model": model_to_config(model), "population": n, "method": method})
@@ -414,8 +421,8 @@ def _cmd_margin(args, cfg, resolved):
 
 
 def _cmd_delta(args, cfg, resolved):
-    council = parse_council(cfg)
-    mode = (args.mode or cfg.get("mode", SEMI_EXACT)).replace("-", "_")
+    council = parse_council(cfg, args.quota)
+    mode = _setting(args.mode, cfg, "mode", _name(EXACT, SEMI_EXACT, MONTE_CARLO), SEMI_EXACT)
     if mode == MONTE_CARLO:
         _require_trials(args, 2)
     w, weight_source = _council_weights(args, cfg, council)
@@ -442,18 +449,12 @@ def _cmd_delta(args, cfg, resolved):
 
 def _cmd_scaling(args, cfg, resolved):
     grid = parse_grid(args.grid if args.grid is not None else cfg.get("grid", "256:16384:x2"))
-    method = (args.method or cfg.get("method", EXACT)).replace("-", "_")
+    method = _setting(args.method, cfg, "method", _name(EXACT, MONTE_CARLO, ASYMPTOTIC), EXACT)
     if method == MONTE_CARLO:
         _require_trials(args, 2)
-    if (args.model or cfg.get("model_name")) in ("straffin", None) and (
-        args.beta is not None or cfg.get("family", {}).get("type") == "straffin"
-    ):
-        fam_cfg = cfg.get("family", {})
-        c = args.c if args.c is not None else fam_cfg.get("c", 1.0)
-        beta = args.beta if args.beta is not None else fam_cfg.get("beta")
-        if beta is None:
-            raise UsageError("straffin family needs --beta")
-        family = StraffinFamily(float(c), float(beta))
+    name = _setting(args.model, cfg, "model_name", _name())
+    if name == "straffin" or name is None and (args.beta is not None or cfg.get("family") is not None):
+        family = _family(args, cfg)
         model_family = lambda n: CommonBelief(family(n))
         resolved["family"] = {"type": "straffin", "c": family.c, "beta": family.beta}
     else:
@@ -480,10 +481,9 @@ def _cmd_scaling(args, cfg, resolved):
 
 
 def _cmd_solve_cj(args, cfg, resolved):
-    coupling = args.J if args.J is not None else cfg.get("coupling")
+    coupling = _setting(args.J, cfg, "coupling", float)
     if coupling is None:
         raise UsageError("solve-cj needs --J")
-    coupling = float(coupling)
     resolved["coupling"] = coupling
     c, residual, iterations = meanfield.solve_cj(coupling, full_output=True)
     rows = [{"J": coupling, "C": c, "residual": residual, "iterations": iterations}]
@@ -497,25 +497,20 @@ def _cmd_solve_cj(args, cfg, resolved):
 
 
 def _cmd_regime(args, cfg, resolved):
-    fam_cfg = cfg.get("family", {})
-    c = args.c if args.c is not None else fam_cfg.get("c", 1.0)
-    beta = args.beta if args.beta is not None else fam_cfg.get("beta")
-    if beta is None:
-        raise UsageError("regime needs --beta (Straffin family exponent)")
-    epsilon = args.epsilon if args.epsilon is not None else cfg.get("epsilon", 0.1)
+    family = _family(args, cfg)
+    epsilon = _setting(args.epsilon, cfg, "epsilon", float, 0.1)
     grid = parse_grid(args.grid if args.grid is not None else cfg.get("grid", "256:16384:x2"))
-    family = StraffinFamily(float(c), float(beta))
     try:
-        report = classify_regime(family, float(epsilon), grid)
+        report = classify_regime(family, epsilon, grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     resolved.update({
         "family": {"type": "straffin", "c": family.c, "beta": family.beta},
-        "epsilon": float(epsilon),
+        "epsilon": epsilon,
         "grid": grid,
         "verdict": report.verdict,
         "decay_exponent": _round12(report.decay_exponent),
-        "weight_exponent": _round12(report.weight_exponent) if report.weight_exponent is not None else None,
+        "weight_exponent": _round12(report.weight_exponent),
     })
     rows = [
         {"N": n, "a_N": family.half_width(n), "mu_bar": m}
@@ -531,22 +526,21 @@ def _cmd_regime(args, cfg, resolved):
 
 
 def _cmd_distribution(args, cfg, resolved):
-    if args.belief is None and "belief" in cfg:
-        belief = parse_belief(cfg["belief"])
-    elif args.belief is None and "model" in cfg:
+    spec = _belief_spec(args, cfg)
+    if spec is None and cfg.get("model") is not None:
         model = parse_model(cfg["model"])
-        if not isinstance(model, CommonBelief):
-            raise UsageError("distribution needs a common-belief model or a 'belief' entry")
-        belief = model.belief
     else:
-        model = _model_from_args(args, {"model_name": "common_belief", **cfg})
-        belief = model.belief
-    if args.N is not None:
-        grid = [int(args.N)]
+        model = parse_model({"type": "common_belief", "belief": spec})
+    if not isinstance(model, CommonBelief):
+        raise UsageError("distribution needs a common-belief model or a 'belief' entry")
+    belief = model.belief
+    n = _setting(args.N, cfg, "population", _whole(1))
+    if n is not None:
+        grid = [n]
     else:
         grid = parse_grid(args.grid if args.grid is not None else cfg.get("grid", "100:10000:x10"))
     resolved.update({
-        "belief": model_to_config(CommonBelief(belief))["belief"],
+        "belief": model_to_config(belief),
         "grid": grid,
         "mu_bar": _round12(mu_bar(belief)),
     })
@@ -565,10 +559,7 @@ def _cmd_distribution(args, cfg, resolved):
 
 def _cmd_council_sim(args, cfg, resolved):
     _require_trials(args, 1)
-    council = parse_council(cfg)
-    if args.quota is not None:
-        council = CouncilSpec([(s.name, s.population, s.model) for s in council.states],
-                              quota=args.quota)
+    council = parse_council(cfg, args.quota)
     w, weight_source = _council_weights(args, cfg, council)
     w = list(optimal_weights(council).values) if w is None else w
     resolved.update({
@@ -597,7 +588,7 @@ def _cmd_council_sim(args, cfg, resolved):
 
 def _cmd_compare_rules(args, cfg, resolved):
     _require_trials(args, 1)
-    council = parse_council(cfg)
+    council = parse_council(cfg, args.quota)
     resolved["council"] = council_to_config(council)
     rows_out = []
     for row in council_mod.compare_weight_rules(council, args.trials, RngStream(args.seed),
@@ -647,9 +638,9 @@ def build_parser():
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker substreams for Monte Carlo (default 1)")
+                   help=f"worker substreams for Monte Carlo (default 1, at most {MAX_WORKERS})")
     p.add_argument("--trials", type=int, default=None,
-                   help="Monte Carlo trials / samples (default 100000)")
+                   help=f"Monte Carlo trials / samples (default 100000, at most {MAX_TRIALS})")
     p.add_argument("--out", help="data output path (metadata goes to OUT.meta.json)")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--J", type=float, default=None, help="mean-field coupling")
@@ -660,7 +651,8 @@ def build_parser():
                    help="regime classification band half-width")
     p.add_argument("--model", default=None,
                    help="independent | mean-field | common-belief | straffin")
-    p.add_argument("--belief", default=None, help="uniform | point-mass-zero")
+    p.add_argument("--belief", default=None,
+                   help="uniform (with --a) | point-mass-zero; atoms and grid go in the config")
     p.add_argument("--a", type=float, default=None, help="uniform belief half-width")
     p.add_argument("--c", type=float, default=None, help="Straffin family prefactor")
     p.add_argument("--beta", type=float, default=None, help="Straffin family decay exponent")

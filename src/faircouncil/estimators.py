@@ -172,8 +172,7 @@ def expected_margin_asymptotic(model, n):
     extrapolation beyond the proven two-sided 1/sqrt(N) sandwich.
     """
     validate_model(model)
-    if n < 1:
-        raise ValueError("population must be >= 1")
+    n = check_population(n)
     if isinstance(model, Independent):
         value = ROOT_2_OVER_PI * math.sqrt(n)
     elif isinstance(model, MeanField):

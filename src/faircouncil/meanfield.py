@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ASYMPTOTIC, EXACT, MarginEstimate
+from .core import ASYMPTOTIC, EXACT, MarginEstimate, check_population
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -71,8 +71,7 @@ def asymptotic_weight_meanfield(coupling, n):
     j = float(coupling)
     if j < 0.0:
         raise ValueError("coupling must be >= 0")
-    if n < 1:
-        raise ValueError("population must be >= 1")
+    n = check_population(n)
     if j == 1.0:
         raise CriticalCouplingError("no asymptotic margin formula at the critical coupling 1")
     if j < 1.0:

@@ -125,7 +125,7 @@ def _check_belief(belief):
         if np.any(ws < 0.0):
             raise ValueError("atom weights must be >= 0")
         if abs(ws.sum() - 1.0) > MASS_TOL:
-            raise ValueError(f"atom weights sum to {ws.sum()!r}, not 1")
+            raise ValueError(f"atom weights sum to {float(ws.sum())!r}, not 1")
         weight_of = {}
         for z, w in atoms:
             weight_of[z] = weight_of.get(z, 0.0) + w
@@ -152,7 +152,7 @@ def _check_belief(belief):
             raise ValueError("densities must be symmetric about 0")
         mass = np.trapezoid(dens, nodes)
         if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(f"gridded density integrates to {mass!r}, not 1")
+            raise ValueError(f"gridded density integrates to {float(mass)!r}, not 1")
         return
     raise TypeError(f"not a belief distribution: {belief!r}")
 

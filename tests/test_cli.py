@@ -1,16 +1,31 @@
 """Command-line surface: config handling, output formats, determinism,
 and exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import faircouncil
-from faircouncil import optimal_weights
+from faircouncil import (
+    CommonBelief,
+    DiscreteSymmetric,
+    GriddedDensity,
+    Independent,
+    MeanField,
+    PointMassZero,
+    UniformSymmetric,
+    cli,
+    optimal_weights,
+)
 from faircouncil.cli import (
     _COMMANDS,
     main,
@@ -454,3 +469,226 @@ class TestSubprocessSmoke:
         for name in _COMMANDS:
             # the name itself, not a flag such as --weights
             assert re.search(rf"(?<![-\w]){re.escape(name)}(?![-\w])", help_text), name
+
+
+MEAN_FIELD_STATE = {"name": "m", "population": 9, "model": {"type": "mean_field", "coupling": 1.5}}
+
+
+def _with_model(model):
+    return {"states": [{"name": "m", "population": 9, "model": model}]}
+
+
+class TestConfigProbes:
+    """Malformed settings exit 1 with a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize("cmd,cfg", [
+        ("weights", _with_model({"type": "mean_field", "coupling": None})),
+        ("weights", _with_model({"type": "mean_field", "coupling": [1]})),
+        ("margin", {"population": 9, "model": {"type": "common_belief", "belief": {
+            "type": "atoms", "atoms": [[-0.5, 0.15], [0.5, 0.15]]}}}),
+        ("weights", {**UNION, "seed": "abc"}),
+        ("weights", {**UNION, "workers": 1.5}),
+        ("delta", {**UNION, "mode": 5}),
+        ("delta", {**UNION, "mode": "approximate"}),
+        ("margin", {"model": {"type": "independent"}, "population": 5, "method": 5}),
+        ("margin", {"model_name": 5, "population": 5}),
+        ("regime", {"family": "straffin"}),
+        ("regime", {"family": {"type": "straffin", "c": None}}),
+        ("scaling", {"family": {"type": "straffin", "beta": 0.25, "c": "x"}}),
+        ("solve-cj", {"coupling": "two"}),
+        ("council-sim", {**UNION, "weights": "1,2,3"}),
+        ("distribution", {"belief": {"type": "uniform", "a": 0.5}, "population": 2.5}),
+    ], ids=["coupling-null", "coupling-list", "atoms-mass-0.3", "seed-abc", "workers-1.5",
+            "mode-5", "mode-unknown", "method-5", "model_name-5", "family-string",
+            "family-c-null-no-beta", "family-c-string", "coupling-string", "weights-string",
+            "population-2.5"])
+    def test_probe_exits_one(self, cmd, cfg, tmp_path, capsys):
+        code, out, err = run([cmd, "--config", _council_file(tmp_path, json.dumps(cfg))], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert "np.float64" not in err
+
+    @pytest.mark.parametrize("cmd,cfg,key", [
+        ("weights", UNION, "seed"),
+        ("weights", UNION, "trials"),
+        ("council-sim", UNION, "quota"),
+        ("delta", UNION, "mode"),
+        ("margin", {"model": {"type": "independent"}, "population": 7}, "method"),
+        ("regime", {"family": {"type": "straffin", "beta": 0.25}, "grid": "256:1024:x2"}, "c"),
+    ])
+    def test_null_reads_as_absent(self, cmd, cfg, key, tmp_path, capsys):
+        extra = ["--trials", "500"] if cmd == "council-sim" else []
+        with_null = json.loads(json.dumps(cfg))
+        (with_null["family"] if key == "c" else with_null)[key] = None
+        outs = []
+        for name, c in (("absent", cfg), ("null", with_null)):
+            out_path = tmp_path / f"{name}.csv"
+            code, _, err = run([cmd, "--config", _council_file(tmp_path, json.dumps(c)),
+                                "--out", str(out_path), *extra], capsys)
+            assert code == 0, err
+            outs.append(out_path.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("args", [
+        ["distribution", "--belief", "uniform", "--a", "0.5", "--N", "0"],
+        ["margin", "--model", "independent", "--N", "0"],
+    ])
+    def test_population_below_one_is_a_usage_error(self, args, capsys):
+        code, out, err = run(args, capsys)
+        assert code == 1
+        assert err.startswith("error: invalid population 0")
+
+
+class TestRunBounds:
+    """--workers and --trials are bounded before any work is done."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulation started")
+        monkeypatch.setattr(cli.council_mod, "simulate", refuse)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", cli.MAX_WORKERS + 1),
+        ("--trials", cli.MAX_TRIALS + 1),
+    ])
+    def test_flag_above_cap(self, flag, value, union_config, capsys):
+        code, out, err = run(["council-sim", "--config", union_config, flag, str(value)], capsys)
+        assert code == 1
+        assert "must lie in [" in err
+
+    @pytest.mark.parametrize("key,value", [("workers", cli.MAX_WORKERS + 1),
+                                           ("trials", cli.MAX_TRIALS + 1)])
+    def test_config_above_cap(self, key, value, tmp_path, capsys):
+        path = _council_file(tmp_path, json.dumps({**UNION, key: value}))
+        code, out, err = run(["council-sim", "--config", path], capsys)
+        assert code == 1
+        assert err.startswith(f"error: invalid {key} {value}")
+
+    def test_caps_named_in_help(self):
+        help_text = " ".join(cli.build_parser().format_help().split())
+        assert f"at most {cli.MAX_WORKERS}" in help_text
+        assert f"at most {cli.MAX_TRIALS}" in help_text
+
+    def test_workers_at_cap_accepted(self, union_config, capsys):
+        code, out, err = run(["weights", "--config", union_config,
+                              "--workers", str(cli.MAX_WORKERS)], capsys)
+        assert code == 0
+
+
+ALL_TYPES = [
+    (Independent(), "independent"),
+    (MeanField(1.5), "mean_field(J=1.5)"),
+    (CommonBelief(PointMassZero()), "common_belief(point_mass_zero)"),
+    (CommonBelief(UniformSymmetric(0.25)), "common_belief(uniform(a=0.25))"),
+    (CommonBelief(DiscreteSymmetric([(-0.4, 0.25), (0.0, 0.5), (0.4, 0.25)])),
+     "common_belief(atoms(k=3))"),
+    (CommonBelief(GriddedDensity([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])),
+     "common_belief(grid(k=3))"),
+]
+
+
+class TestTypeTable:
+    @pytest.mark.parametrize("model,label", ALL_TYPES, ids=[label for _, label in ALL_TYPES])
+    def test_model_round_trip_and_label(self, model, label):
+        spec = cli.model_to_config(model)
+        assert json.loads(json.dumps(spec)) == spec
+        assert parse_model(spec) == model
+        assert cli.model_label(model) == label
+
+    @pytest.mark.parametrize("model,label", ALL_TYPES[2:], ids=[label for _, label in ALL_TYPES[2:]])
+    def test_belief_round_trip_and_label(self, model, label):
+        belief = model.belief
+        assert parse_belief(cli.model_to_config(belief)) == belief
+        assert f"common_belief({cli.model_label(belief)})" == label
+
+    def test_kinds_do_not_mix(self):
+        with pytest.raises(UsageError, match="unknown model type 'uniform'"):
+            parse_model({"type": "uniform", "a": 0.5})
+        with pytest.raises(UsageError, match="unknown belief type 'independent'"):
+            parse_belief({"type": "independent"})
+
+    @pytest.mark.parametrize("args", [
+        ["--model", "meanfield", "--J", "1.5"],
+        ["--model", "mean-field", "--J", "1.5"],
+        ["--model", "mean_field", "--J", "1.5"],
+    ])
+    def test_flag_spellings(self, args, capsys):
+        code, out, err = run(["margin", "--N", "20", *args], capsys)
+        assert code == 0
+        assert out.splitlines()[1].startswith("mean_field(J=1.5),20,exact,")
+
+    def test_flags_and_config_build_the_same_model(self, tmp_path, capsys):
+        flags = run(["margin", "--model", "common-belief", "--belief", "uniform", "--a", "0.3",
+                     "--N", "40"], capsys)
+        path = _council_file(tmp_path, json.dumps({"model": {
+            "type": "common_belief", "belief": {"type": "uniform", "a": 0.3}}, "population": 40}))
+        config = run(["margin", "--config", path], capsys)
+        assert flags[0] == config[0] == 0
+        assert flags[1] == config[1]
+
+
+# --------------------------------------------------------------------------
+# property: any config exits 0, 1 or 2
+# --------------------------------------------------------------------------
+
+_JUNK = (st.none() | st.booleans() | st.integers(-3, 50)
+         | st.floats(-5.0, 60.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+         | st.text(max_size=4) | st.lists(st.integers(-2, 3), max_size=3)
+         | st.dictionaries(st.sampled_from(["type", "a", "beta"]), st.integers(0, 2), max_size=2))
+
+
+def _or_junk(valid):
+    """Mostly ``valid``, so that commands run past their first check."""
+    return st.integers(0, 9).flatmap(lambda k: _JUNK if k == 0 else valid)
+
+
+_BELIEF = _or_junk(st.sampled_from([
+    {"type": "point_mass_zero"},
+    {"type": "uniform", "a": 0.5},
+    {"type": "atoms", "atoms": [[-0.5, 0.5], [0.5, 0.5]]},
+    {"type": "atoms", "atoms": [[-0.5, 0.15], [0.5, 0.15]]},
+    {"type": "grid", "nodes": [-1.0, 0.0, 1.0], "densities": [0.0, 1.0, 0.0]},
+]) | st.builds(lambda a: {"type": "uniform", "a": a}, _JUNK))
+_MODEL = _or_junk(
+    st.just({"type": "independent"})
+    | st.builds(lambda j: {"type": "mean_field", "coupling": j}, _or_junk(st.floats(0.0, 2.0)))
+    | st.builds(lambda b: {"type": "common_belief", "belief": b}, _BELIEF))
+_STATES = _or_junk(st.lists(
+    st.builds(lambda n, m: {"population": n, "model": m}, _or_junk(st.integers(1, 50)), _MODEL),
+    min_size=1, max_size=3).map(lambda states: [{"name": f"s{i}", **s} for i, s in enumerate(states)]))
+_CONFIG_KEYS = {
+    "states": _STATES,
+    "model": _MODEL,
+    "belief": _BELIEF,
+    "family": _or_junk(st.builds(lambda c, beta: {"type": "straffin", "c": c, "beta": beta},
+                                 _or_junk(st.floats(0.5, 2.0)), _or_junk(st.floats(0.0, 1.0)))),
+    "grid": _or_junk(st.sampled_from(["2:50:x2", "4:40:+12", "10:50:x1.5", "3:3:+1"])),
+    "population": _or_junk(st.integers(1, 50)),
+    "trials": _or_junk(st.integers(2, 1000)),
+    "workers": _or_junk(st.integers(1, 4)),
+    "seed": _or_junk(st.integers(0, 2**64 - 1)),
+    "quota": _or_junk(st.floats(0.05, 0.95)),
+    "mode": _or_junk(st.sampled_from(["exact", "semi-exact", "monte-carlo"])),
+    "method": _or_junk(st.sampled_from(["exact", "monte-carlo", "asymptotic"])),
+    "model_name": _or_junk(st.sampled_from(
+        ["independent", "mean-field", "common-belief", "straffin", "meanfield"])),
+    "coupling": _or_junk(st.floats(0.0, 2.0)),
+    "epsilon": _or_junk(st.floats(0.01, 0.3)),
+    "weights": _or_junk(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3)),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cmd=st.sampled_from([c for c in _COMMANDS if c != "selftest"]),
+       cfg=st.fixed_dictionaries({}, optional=_CONFIG_KEYS))
+def test_any_config_exits_zero_one_or_two(cmd, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([cmd, "--config", path])
+    event(f"exit {code}")
+    assert code in (0, 1, 2)

@@ -252,3 +252,23 @@ class TestFlatGridIsUniform:
     def test_vote_share_law(self, n):
         _, probs = vote_share_law(self.FLAT, n)
         assert np.max(np.abs(probs * (n + 1) - 1.0)) < 1e-10
+
+
+class TestGridMomentsClosedForm:
+    """A grid's E|Z| and E Z^2 are polynomial integrals of its
+    piecewise-linear density, taken per cell with no quadrature ladder."""
+
+    def test_hat_grid(self):
+        nodes = np.linspace(-1.0, 1.0, 201)
+        hat = GriddedDensity(nodes, 1.0 - np.abs(nodes))
+        assert abs(mu_bar(hat) - 1.0 / 3.0) <= 1e-15
+        assert abs(second_moment(hat) - 1.0 / 6.0) <= 1e-15
+
+    def test_uneven_grid_matches_the_ladder(self):
+        nodes = np.array([-1.0, -0.7, -0.31, -0.05, 0.0, 0.05, 0.31, 0.7, 1.0])
+        dens = np.array([0.1, 0.9, 0.3, 0.8, 0.2, 0.8, 0.3, 0.9, 0.1])
+        belief = GriddedDensity(nodes, dens / np.trapezoid(dens, nodes))
+        ladder_abs = float(belief_expectation(belief, np.abs))
+        ladder_sq = float(belief_expectation(belief, np.square))
+        assert mu_bar(belief) == pytest.approx(ladder_abs, rel=1e-12, abs=0)
+        assert second_moment(belief) == pytest.approx(ladder_sq, rel=1e-12, abs=0)

@@ -20,7 +20,7 @@ from faircouncil import (
     expected_margin_mc,
 )
 from faircouncil.estimators import binom_abs_moments, binom_mean_abs_deviation
-from faircouncil.meanfield import CriticalCouplingError
+from faircouncil.meanfield import CriticalCouplingError, asymptotic_weight_meanfield
 
 from oracles import brute_force_margin, independent_abs_margin_closed_form
 
@@ -234,3 +234,21 @@ class TestClosedFormKernel:
             exact = n * (n + 2) / (2 * (n + 1)) if n % 2 == 0 else (n + 1) / 2
             value = expected_margin_exact(CommonBelief(UniformSymmetric(1.0)), n).value
             assert value == pytest.approx(exact, rel=1e-12), n
+
+
+class TestPopulationChecks:
+    """Every route reads the population through core.check_population."""
+
+    @pytest.mark.parametrize("n", [2.5, 0])
+    @pytest.mark.parametrize("method", ["exact", "monte_carlo", "asymptotic"])
+    @pytest.mark.parametrize("model", [
+        Independent(), CommonBelief(UniformSymmetric(0.5)), MeanField(0.5), MeanField(1.5),
+    ], ids=["independent", "common_belief", "mean_field_0.5", "mean_field_1.5"])
+    def test_rejected_on_every_route(self, model, method, n):
+        with pytest.raises(ValueError, match="population must be"):
+            expected_margin(model, n, method=method, samples=100, rng=RngStream(0))
+
+    @pytest.mark.parametrize("n", [2.5, 0])
+    def test_asymptotic_mean_field_helper(self, n):
+        with pytest.raises(ValueError, match="population must be"):
+            asymptotic_weight_meanfield(0.5, n)
