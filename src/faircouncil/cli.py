@@ -42,6 +42,9 @@ from .weights import SEMI_EXACT, CouncilSpec, council_moments, delta as delta_op
 #: holds about seven 8-byte arrays of trials/workers entries per chunk.
 MAX_WORKERS = 1024
 MAX_TRIALS = 10**7
+#: Bound on a population grid's length, checked before the list grows past
+#: it: every point is one computation.
+MAX_GRID_POINTS = 10**5
 
 
 class UsageError(Exception):
@@ -221,7 +224,10 @@ def _council_weights(args, cfg, council):
 
 
 def parse_grid(text):
-    """Population grids: 'lo:hi:xF' (geometric) or 'lo:hi:+D' (arithmetic)."""
+    """Population grids: 'lo:hi:xF' (geometric) or 'lo:hi:+D' (arithmetic),
+    of at most ``MAX_GRID_POINTS`` points. A geometric grid keeps each
+    rounded population once; every step of its factor counts toward the
+    bound, so that a factor near 1 cannot loop on a repeated point."""
     if not isinstance(text, str):
         raise UsageError(f"grid must be a string like lo:hi:x2, got {text!r}")
     try:
@@ -232,18 +238,26 @@ def parse_grid(text):
         raise UsageError(f"grid must look like lo:hi:x2 or lo:hi:+100, got {text!r}") from exc
     if lo < 1 or hi < lo:
         raise UsageError(f"grid bounds must satisfy 1 <= lo <= hi, got {text!r}")
+    too_long = f"grid {text!r} takes more than {MAX_GRID_POINTS} steps"
     grid = []
     if step_s.startswith("x"):
         if not 1.0 < step < float("inf"):
             raise UsageError("geometric grid factor must exceed 1 and be finite")
-        n = float(lo)
+        n, steps = float(lo), 0
         while round(n) <= hi:
-            grid.append(int(round(n)))
+            steps += 1
+            if steps > MAX_GRID_POINTS:
+                raise UsageError(too_long)
+            if not grid or round(n) > grid[-1]:
+                grid.append(int(round(n)))
             n *= step
     elif step_s.startswith("+"):
         if step < 1:
             raise UsageError("arithmetic grid step must be >= 1")
-        grid = list(range(lo, hi + 1, step))
+        points = range(lo, hi + 1, step)
+        if len(points) > MAX_GRID_POINTS:
+            raise UsageError(too_long)
+        grid = list(points)
     else:
         raise UsageError(f"grid step must start with 'x' or '+', got {step_s!r}")
     if not grid:

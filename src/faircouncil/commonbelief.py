@@ -17,8 +17,7 @@ import numpy as np
 from . import estimators
 from .core import CommonBelief, check_population
 from .measures import (
-    DiscreteSymmetric,
-    PointMassZero,
+    ATOMIC,
     UniformSymmetric,
     _half_line_cells,
     count_law,
@@ -36,32 +35,22 @@ _TRANSPORT_ATOMS = 8192
 
 def mu_bar(belief):
     """Mean absolute belief, integral of |zeta| d mu."""
-    validate_belief(belief)
-    if isinstance(belief, PointMassZero):
-        return 0.0
-    if isinstance(belief, UniformSymmetric):
-        return belief.a / 2.0
-    if isinstance(belief, DiscreteSymmetric):
-        return float(sum(w * abs(z) for z, w in belief.atoms))
-    return _grid_moment(belief, 1)
+    return _abs_moment(validate_belief(belief), 1)
 
 
 def second_moment(belief):
     """Integral of zeta^2 d mu; equals the covariance of any two voters
     under the induced voting measure."""
-    validate_belief(belief)
-    if isinstance(belief, PointMassZero):
-        return 0.0
-    if isinstance(belief, UniformSymmetric):
-        return belief.a**2 / 3.0
-    if isinstance(belief, DiscreteSymmetric):
-        return float(sum(w * z * z for z, w in belief.atoms))
-    return _grid_moment(belief, 2)
+    return _abs_moment(validate_belief(belief), 2)
 
 
-def _grid_moment(belief, power):
-    """E|Z|^power (power 1 or 2) of a gridded belief: Simpson's rule per cell
-    of its linear density on z >= 0, exact for this cubic, doubled by symmetry."""
+def _abs_moment(belief, power):
+    """E|Z|^power (power 1 or 2) of a validated belief: the sum over its
+    atoms, each term multiplied left to right as w |z| |z|, or Simpson's
+    rule per cell of a continuous belief's linear density on z >= 0, exact
+    for this cubic, doubled by symmetry."""
+    if isinstance(belief, ATOMIC):
+        return float(sum(math.prod([w] + [abs(z)] * power) for z, w in belief.atoms))
     lo, hi, r0, r1 = _half_line_cells(belief).T
     mid = (lo + hi) / 2.0
     ends = r0 * lo**power + 2.0 * (r0 + r1) * mid**power + r1 * hi**power
@@ -235,9 +224,7 @@ def _belief_atoms(belief):
     mass under the piecewise-linear density), which perturbs the distance
     by less than 1e-4.
     """
-    if isinstance(belief, PointMassZero):
-        return np.array([0.0]), np.array([1.0])
-    if isinstance(belief, DiscreteSymmetric):
+    if isinstance(belief, ATOMIC):
         zs = np.array([z for z, _ in belief.atoms])
         ws = np.array([w for _, w in belief.atoms])
         return zs, ws / ws.sum()

@@ -20,8 +20,6 @@ from .core import (
     ASYMPTOTIC,
     EXACT,
     MONTE_CARLO,
-    CommonBelief,
-    Independent,
     MarginEstimate,
     MeanField,
     check_population,
@@ -31,6 +29,7 @@ from . import meanfield
 from .measures import (
     belief_expectation,
     magnetization_pmf,
+    mixing_belief,
     totals_sampler,
     validate_model,
 )
@@ -113,19 +112,16 @@ def check_exact_route(model, n, max_population=DEFAULT_POPULATION_BUDGET):
 def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):
     """Exact E|S| for the model at population n.
 
-    Routes: independent voters use the closed binomial sum; common-belief
-    mixtures integrate the shifted-binomial moment over the belief measure;
-    mean-field sums |s| against the magnetization law.
+    Routes: a binomial mixture integrates the shifted-binomial moment over
+    its mixing belief (see ``measures.mixing_belief``); the mean-field
+    Gibbs law sums |s| against the magnetization law.
     """
     check_exact_route(model, n, max_population)
-    if isinstance(model, Independent):
-        value = float(binom_abs_moments(n, 0.5)[0])
-    elif isinstance(model, CommonBelief):
-        value = _belief_margin(model.belief, n)
-    elif n == 1:
-        value = 1.0
-    else:
+    belief = mixing_belief(model, n)
+    if belief is None:
         value = magnetization_pmf(model.coupling, n).abs_moment()
+    else:
+        value = _belief_margin(belief, n)
     return MarginEstimate(value=value, std_error=0.0, method=EXACT, samples=0)
 
 
@@ -163,25 +159,23 @@ def expected_margin_mc(model, n, samples, rng, workers=1):
 def expected_margin_asymptotic(model, n):
     """Large-N asymptotic E|S|.
 
-    Independent voters: sqrt(2/pi) sqrt(N). Mean field: sqrt(2/pi)
-    (1-J)^(-1/2) sqrt(N) below the critical coupling and C(J) N above it;
-    J = 1 has no formula and is rejected. Common belief: N mu_bar when the
-    mean absolute belief is positive, else the independent square-root law.
+    Mean field, at every N: sqrt(2/pi) (1-J)^(-1/2) sqrt(N) below the
+    critical coupling and C(J) N above it; J = 1 has no formula and is
+    rejected. A binomial mixture: N mu_bar of its mixing belief when the
+    mean absolute belief is positive, else the independent square-root law
+    sqrt(2/pi) sqrt(N), which independent voters (the point mass) take.
     The square-root constant in the positive-correlation regimes follows
     the central-limit argument; for vanishing-belief mixtures it is an
     extrapolation beyond the proven two-sided 1/sqrt(N) sandwich.
     """
     validate_model(model)
     n = check_population(n)
-    if isinstance(model, Independent):
-        value = ROOT_2_OVER_PI * math.sqrt(n)
-    elif isinstance(model, MeanField):
+    if isinstance(model, MeanField):
         return meanfield.asymptotic_weight_meanfield(model.coupling, n)
-    else:
-        from .commonbelief import mu_bar
+    from .commonbelief import mu_bar
 
-        mean_abs = mu_bar(model.belief)
-        value = n * mean_abs if mean_abs > 0.0 else ROOT_2_OVER_PI * math.sqrt(n)
+    mean_abs = mu_bar(mixing_belief(model, n))
+    value = n * mean_abs if mean_abs > 0.0 else ROOT_2_OVER_PI * math.sqrt(n)
     return MarginEstimate(value=value, std_error=0.0, method=ASYMPTOTIC, samples=0)
 
 

@@ -9,6 +9,13 @@ the votes:
 * the mean-field (Curie-Weiss) Gibbs measure with weight
   exp(J S^2 / (2 (N-1))) in the total spin S.
 
+Behind them stand two laws of the total. ``mixing_belief`` gives the belief
+whose binomial mixture is a model's law at population N, the point mass at
+zero for independent voters and for a single mean-field voter; the other
+law is the mean-field Gibbs law at N >= 2, ``magnetization_pmf``. A point
+mass is the one atom (0, 1): it and ``DiscreteSymmetric`` are read from
+their ``atoms``.
+
 A continuous belief is uniform or the piecewise-linear density through a
 grid's nodes. Expectations of other functions over it are integrated by
 Gauss-Legendre quadrature with node doubling, cell by cell. ``count_law``
@@ -57,6 +64,8 @@ QUAD_REL_TOL = 1e-10
 class PointMassZero:
     """All mass at zero belief; the induced voters are independent."""
 
+    atoms = ((0.0, 1.0),)
+
 
 @dataclass(frozen=True)
 class UniformSymmetric:
@@ -98,6 +107,9 @@ class GriddedDensity:
 
 BeliefDistribution = PointMassZero | UniformSymmetric | DiscreteSymmetric | GriddedDensity
 
+#: Beliefs given by their ``atoms``, (zeta, weight) pairs.
+ATOMIC = (PointMassZero, DiscreteSymmetric)
+
 
 def validate_belief(belief):
     """Check total mass, symmetry, and support of a belief distribution,
@@ -112,6 +124,7 @@ def validate_belief(belief):
 
 
 def _check_belief(belief):
+    # each check is written to fail on NaN, which compares false
     if isinstance(belief, (PointMassZero, UniformSymmetric)):
         return
     if isinstance(belief, DiscreteSymmetric):
@@ -120,19 +133,17 @@ def _check_belief(belief):
             raise ValueError("discrete belief needs at least one atom")
         zs = np.array([z for z, _ in atoms])
         ws = np.array([w for _, w in atoms])
-        if np.any(np.abs(zs) > 1.0):
+        if not np.all(np.abs(zs) <= 1.0):
             raise ValueError("belief atoms must lie in [-1, 1]")
-        if np.any(ws < 0.0):
+        if not np.all(ws >= 0.0):
             raise ValueError("atom weights must be >= 0")
-        if abs(ws.sum() - 1.0) > MASS_TOL:
+        if not abs(ws.sum() - 1.0) <= MASS_TOL:
             raise ValueError(f"atom weights sum to {float(ws.sum())!r}, not 1")
         weight_of = {}
         for z, w in atoms:
             weight_of[z] = weight_of.get(z, 0.0) + w
         for z, w in weight_of.items():
-            if z == 0.0:
-                continue
-            if abs(weight_of.get(-z, math.nan) - w) > MASS_TOL or math.isnan(weight_of.get(-z, math.nan)):
+            if z != 0.0 and not abs(weight_of.get(-z, math.nan) - w) <= MASS_TOL:
                 raise ValueError(f"atom at {z} lacks a mirror of equal weight")
         return
     if isinstance(belief, GriddedDensity):
@@ -140,18 +151,18 @@ def _check_belief(belief):
         dens = np.array(belief.densities)
         if nodes.size != dens.size or nodes.size < 2:
             raise ValueError("gridded belief needs matching nodes/densities of length >= 2")
-        if np.any(np.diff(nodes) <= 0.0):
+        if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("grid nodes must be strictly ascending")
         if nodes[0] < -1.0 or nodes[-1] > 1.0:
             raise ValueError("grid nodes must lie in [-1, 1]")
-        if np.any(dens < 0.0):
+        if not np.all(dens >= 0.0):
             raise ValueError("densities must be >= 0")
-        if np.max(np.abs(nodes + nodes[::-1])) > MASS_TOL:
+        if not np.max(np.abs(nodes + nodes[::-1])) <= MASS_TOL:
             raise ValueError("grid nodes must be symmetric about 0")
-        if np.max(np.abs(dens - dens[::-1])) > MASS_TOL:
+        if not np.max(np.abs(dens - dens[::-1])) <= MASS_TOL:
             raise ValueError("densities must be symmetric about 0")
         mass = np.trapezoid(dens, nodes)
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(f"gridded density integrates to {float(mass)!r}, not 1")
         return
     raise TypeError(f"not a belief distribution: {belief!r}")
@@ -203,9 +214,7 @@ def belief_expectation(belief, f, rel_tol=QUAD_REL_TOL):
     develop at z = 0.
     """
     validate_belief(belief)
-    if isinstance(belief, PointMassZero):
-        return np.sum(f(np.array([0.0])), axis=0)
-    if isinstance(belief, DiscreteSymmetric):
+    if isinstance(belief, ATOMIC):
         zs = np.array([z for z, _ in belief.atoms])
         ws = np.array([w for _, w in belief.atoms])
         return np.tensordot(ws, f(zs), axes=(0, 0))
@@ -387,36 +396,43 @@ def _cell_count_mass(k, n, lo, hi, r0, r1):
 def _common_belief_law(belief, n, k):
     """P(K = k) under a validated common belief, at ascending yes-counts k
     that the mirror k -> n - k maps onto themselves: all of 0..n, or the
-    middle count n/2 alone. A point mass gives the fair binomial row and
-    atoms a weighted sum of rows; a continuous belief sums the closed form
-    of each half-line cell, h, and mirrors it, h + h[::-1]."""
-    if isinstance(belief, PointMassZero):
-        return _binom_pmf(k, n, 0.5)
-    if isinstance(belief, DiscreteSymmetric):
+    middle count n/2 alone. Atoms give a weighted sum of binomial rows, the
+    point mass the fair row; a continuous belief sums the closed form of
+    each half-line cell, h, and mirrors it, h + h[::-1]."""
+    if isinstance(belief, ATOMIC):
         zs, ws = np.array(belief.atoms).T
         return ws @ _binom_pmf(k, n, (1.0 + zs[:, None]) / 2.0)
     half = sum(_cell_count_mass(k, n, *cell) for cell in _half_line_cells(belief))
     return half + half[::-1]
 
 
+def mixing_belief(model, n):
+    """The belief whose binomial mixture is the model's law at population
+    n: a common belief's own, the point mass at zero for independent voters
+    and for a single mean-field voter (no pair to couple), and None for the
+    mean-field Gibbs law at n >= 2."""
+    if isinstance(model, CommonBelief):
+        return model.belief
+    if isinstance(model, MeanField) and n > 1:
+        return None
+    return PointMassZero()
+
+
 def count_law(model, n):
     """Law of the yes-count K = (n + S)/2: P(K = k) for k = 0..n.
 
-    Independent voters, and a single mean-field voter, give the fair
-    binomial row. A common belief gives its law in closed form, with no
-    quadrature: binomial rows for a point mass or atoms, and binomial cdf
+    A binomial mixture (see ``mixing_belief``) gives its law in closed
+    form, with no quadrature: binomial rows for atoms, and binomial cdf
     differences per cell for a uniform or gridded belief, whose density is
-    piecewise linear. The mean field gives its Gibbs law from the
-    definition, normalized over all n + 1 log-weights: meant for small n,
-    and kept apart from the windowed ``magnetization_pmf``, which
-    enumeration checks.
+    piecewise linear. The mean-field Gibbs law comes from the definition,
+    normalized over all n + 1 log-weights: meant for small n, and kept
+    apart from the windowed ``magnetization_pmf``, which enumeration checks.
     """
     validate_model(model)
+    belief = mixing_belief(model, n)
     k = np.arange(n + 1, dtype=float)
-    if isinstance(model, CommonBelief):
-        return _common_belief_law(model.belief, n, k)
-    if isinstance(model, Independent) or n == 1:
-        return _binom_pmf(k, n, 0.5)
+    if belief is not None:
+        return _common_belief_law(belief, n, k)
     logw = _meanfield_log_weights(model.coupling, n)
     return np.exp(logw - logsumexp(logw))
 
@@ -525,7 +541,7 @@ def totals_sampler(model, n):
     """A sampler ``draw(gen, size)`` of total spins S = sum of votes.
 
     Everything that depends only on (model, n) is built here, once: the
-    belief's sampler for a common belief, and for the mean field the cdf of
+    mixing belief's sampler, and for the mean-field Gibbs law the cdf of
     the magnetization law's window with its guide table. The cdf is the
     cumulative sum that ``gen.choice(support, p=probs)`` forms; the zeros
     outside the window add exactly, so it equals that of the full law
@@ -539,17 +555,18 @@ def totals_sampler(model, n):
     """
     validate_model(model)
     check_population(n)
-    if isinstance(model, CommonBelief):
-        draw_z = belief_sampler(model.belief)
+    belief = mixing_belief(model, n)
+    if isinstance(belief, PointMassZero):
+        # bit-identical to the mixture's draws, and faster with a scalar p
+        return lambda gen, size: 2 * gen.binomial(n, 0.5, size=size).astype(np.int64) - n
+    if belief is not None:
+        draw_z = belief_sampler(belief)
 
         def draw(gen, size):
             zs = draw_z(gen, size)
             return 2 * gen.binomial(n, (1.0 + zs) / 2.0).astype(np.int64) - n
 
         return draw
-    if isinstance(model, Independent) or n == 1:
-        # a single mean-field voter has no pair interaction
-        return lambda gen, size: 2 * gen.binomial(n, 0.5, size=size).astype(np.int64) - n
     spins, mass = magnetization_pmf(model.coupling, n).window()
     cdf = np.cumsum(mass)
     cdf /= cdf[-1]

@@ -27,16 +27,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special._ufuncs import _binom_pmf
 
 from . import estimators
 from .commonbelief import second_moment
 from .core import (
     EXACT,
     MONTE_CARLO,
-    CommonBelief,
-    Independent,
-    MeanField,
     check_population,
     signs,
     split_budget,
@@ -45,6 +41,7 @@ from .measures import (
     _common_belief_law,
     _enumeration_law,
     magnetization_pmf,
+    mixing_belief,
     totals_sampler,
     validate_model,
 )
@@ -180,18 +177,14 @@ def state_margin(state, samples=100_000, rng=None, workers=1,
 
 
 def state_second_moment(state):
-    """Exact E(S^2) per model: N for independent voters,
-    N + N(N-1) * second_moment(mu) for belief mixtures, and the
-    magnetization-law moment for the interaction model."""
+    """Exact E(S^2): N + N(N-1) * second_moment(mu) for a binomial mixture
+    over mu (N for independent voters, mu the point mass), and the
+    magnetization-law moment for the mean-field Gibbs law."""
     n = state.population
-    model = state.model
-    if isinstance(model, Independent):
-        return float(n)
-    if isinstance(model, CommonBelief):
-        return n + n * (n - 1) * second_moment(model.belief)
-    if n == 1:
-        return 1.0
-    return magnetization_pmf(model.coupling, n).abs_moment(power=2)
+    belief = mixing_belief(state.model, n)
+    if belief is None:
+        return magnetization_pmf(state.model.coupling, n).abs_moment(power=2)
+    return n + n * (n - 1) * second_moment(belief)
 
 
 def state_tie_probability(state):
@@ -199,13 +192,11 @@ def state_tie_probability(state):
     n = state.population
     if n % 2:
         return 0.0
-    model = state.model
-    if isinstance(model, Independent):
-        return float(_binom_pmf(n // 2, n, 0.5))
-    if isinstance(model, CommonBelief):
-        # the middle yes-count n/2 is its own mirror image
-        return float(_common_belief_law(model.belief, n, np.array([n / 2]))[0])
-    return magnetization_pmf(model.coupling, n).prob_of(0)
+    belief = mixing_belief(state.model, n)
+    if belief is None:
+        return magnetization_pmf(state.model.coupling, n).prob_of(0)
+    # the middle yes-count n/2 is its own mirror image
+    return float(_common_belief_law(belief, n, np.array([n / 2]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +230,10 @@ class MomentTable:
 
 
 def _state_moments(state):
-    """(E|S|, E(S^2), P(S = 0)) of one state; a mean-field state reads all
-    three from one magnetization law."""
+    """(E|S|, E(S^2), P(S = 0)) of one state; a mean-field Gibbs law gives
+    all three from one magnetization law."""
     model, n = state.model, state.population
-    if isinstance(model, MeanField) and n > 1:
+    if mixing_belief(model, n) is None:
         estimators.check_exact_route(model, n)
         law = magnetization_pmf(model.coupling, n)
         return law.abs_moment(), law.abs_moment(power=2), law.prob_of(0)

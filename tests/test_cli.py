@@ -72,6 +72,19 @@ class TestParsing:
             with pytest.raises(UsageError):
                 parse_grid(text)
 
+    def test_geometric_grid_keeps_each_population_once(self):
+        assert parse_grid("1:3:x1.1") == [1, 2, 3]
+        assert parse_grid("1:10:x1.5") == [1, 2, 3, 5, 8]
+
+    @pytest.mark.parametrize("text", [f"1:{cli.MAX_GRID_POINTS + 1}:+1",
+                                      "1:100000000:+1", "1:2:x1.0000000001"])
+    def test_grid_longer_than_the_cap_is_usage_error(self, text):
+        with pytest.raises(UsageError, match="more than"):
+            parse_grid(text)
+
+    def test_grid_at_the_cap_is_accepted(self):
+        assert len(parse_grid(f"1:{cli.MAX_GRID_POINTS}:+1")) == cli.MAX_GRID_POINTS
+
     def test_belief_round_trip(self):
         for spec in (
             {"type": "point_mass_zero"},
@@ -421,6 +434,22 @@ class TestGridAndTrialsChecks:
     def test_trials_unused_within_the_budget(self, union_config, capsys):
         assert run(["weights", "--config", union_config, "--trials", "1"], capsys)[0] == 0
 
+    def test_grid_past_the_cap_exits_one(self, capsys):
+        code, out, err = run(["regime", "--beta", "0.25", "--grid", "1:100000000:+1"], capsys)
+        assert code == 1
+        assert "more than" in err
+
+    @pytest.mark.parametrize("belief", [
+        '{"type": "atoms", "atoms": [[0, NaN]]}',
+        '{"type": "grid", "nodes": [-1, 0, 1], "densities": [NaN, NaN, NaN]}',
+    ], ids=["atoms", "grid"])
+    def test_nan_belief_exits_one(self, belief, tmp_path, capsys):
+        text = ('{"states": [{"name": "a", "population": 4, "model": '
+                '{"type": "common_belief", "belief": ' + belief + '}}]}')
+        code, out, err = run(["weights", "--config", _council_file(tmp_path, text)], capsys)
+        assert code == 1
+        assert "invalid belief" in err
+
 
 class TestOptimalDelta:
     def test_matches_explicit_optimal_weights(self, tmp_path, capsys):
@@ -441,6 +470,66 @@ class TestOptimalDelta:
         assert run(["delta", "--config", path, "--out", str(explicit),
                     "--weights", ",".join(repr(v) for v in w)], capsys)[0] == 0
         assert implicit.read_bytes() == explicit.read_bytes()
+
+
+#: One council with every model type, a single mean-field voter, and even and
+#: odd populations; the data files below are pinned byte for byte.
+GOLDEN_COUNCIL = {"quota": 0.5, "states": [
+    {"name": "ind_odd", "population": 5, "model": {"type": "independent"}},
+    {"name": "ind_even", "population": 4, "model": {"type": "independent"}},
+    {"name": "point", "population": 6,
+     "model": {"type": "common_belief", "belief": {"type": "point_mass_zero"}}},
+    {"name": "uniform", "population": 7,
+     "model": {"type": "common_belief", "belief": {"type": "uniform", "a": 0.5}}},
+    {"name": "atoms", "population": 8,
+     "model": {"type": "common_belief", "belief": {
+         "type": "atoms", "atoms": [[-0.3, 0.25], [0.3, 0.25], [0.0, 0.5]]}}},
+    {"name": "grid", "population": 9,
+     "model": {"type": "common_belief", "belief": {
+         "type": "grid", "nodes": [-1.0, 0.0, 1.0], "densities": [0.0, 1.0, 0.0]}}},
+    {"name": "single", "population": 1, "model": {"type": "mean_field", "coupling": 0.7}},
+    {"name": "mf_even", "population": 10, "model": {"type": "mean_field", "coupling": 1.2}},
+    {"name": "mf_odd", "population": 11, "model": {"type": "mean_field", "coupling": 0.5}},
+]}
+
+GOLDEN_WEIGHTS = (
+    'state,population,model,expected_margin,weight_raw,weight_normalized\n'
+    'ind_odd,5,independent,1.875,1.875,0.278363143812\n'
+    'ind_even,4,independent,1.5,1.5,0.22269051505\n'
+    'point,6,common_belief(point_mass_zero),1.875,1.875,0.278363143812\n'
+    'uniform,7,common_belief(uniform(a=0.5)),2.7080078125,2.7080078125,0.402031769683\n'
+    'atoms,8,common_belief(atoms(k=3)),2.56415887344,2.56415887344,0.380675906797\n'
+    'grid,9,common_belief(grid(k=3)),3.8359375,3.8359375,0.569484598383\n'
+    'single,1,mean_field(J=0.7),1,1,0.148460343367\n'
+    'mf_even,10,mean_field(J=1.2),6.73580551765,6.73580551765,1\n'
+    'mf_odd,11,mean_field(J=0.5),3.7284945232,3.7284945232,0.553533577154\n'
+)
+
+GOLDEN_DELTA = (
+    'mode,value,std_error,trials\n'
+    'semi_exact,37.544219465,0,0\n'
+)
+
+GOLDEN_COMPARE_RULES = (
+    'rule,scale,weights,delta_semi_exact,delta_mc,delta_mc_std_error,disagreement_rate,disagreement_std_error\n'
+    'optimal,0.969460200412,1.81773787577;1.45419030062;1.81773787577;2.62530579662;2.48584997533;3.71878873752;0.969460200412;6.53009536707;3.6146270477,37.449767607,36.0743568129,1.10945846613,0.1585,0.00816632567315\n'
+    'sqrt_population,1.11773036692,2.49932108095;2.23546073385;2.73786906897;2.9572365837;3.16141888796;3.35319110077;1.11773036692;3.53457376941;3.70709224387,51.7301447201,49.3886062532,1.40834533771,0.1915,0.00879851549979\n'
+    'proportional_population,0.40706306064,2.0353153032;1.62825224256;2.44237836384;2.84944142448;3.25650448512;3.66356754576;0.40706306064;4.0706306064;4.47769366704,47.1492337937,45.2814066046,1.3208264966,0.181,0.00860926826159\n'
+    'equal,2.67989723487,2.67989723487;2.67989723487;2.67989723487;2.67989723487;2.67989723487;2.67989723487;2.67989723487;2.67989723487;2.67989723487,63.426714215,61.0534181514,1.73997169662,0.2285,0.00938849695106\n'
+)
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("args,expected", [
+        (["weights"], GOLDEN_WEIGHTS),
+        (["delta"], GOLDEN_DELTA),
+        (["compare-rules", "--trials", "2000", "--seed", "11"], GOLDEN_COMPARE_RULES),
+    ], ids=["weights", "delta", "compare-rules"])
+    def test_data_file_is_pinned(self, args, expected, tmp_path, capsys):
+        path = _council_file(tmp_path, json.dumps(GOLDEN_COUNCIL))
+        out = tmp_path / "out.csv"
+        assert run(args + ["--config", path, "--out", str(out)], capsys)[0] == 0
+        assert out.read_text() == expected
 
 
 class TestSubprocessSmoke:

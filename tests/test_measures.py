@@ -39,6 +39,7 @@ from faircouncil.measures import (
     totals_sampler,
     validate_belief,
 )
+from faircouncil.weights import StateSpec, _state_moments
 
 from oracles import all_outcomes, meanfield_pmf_by_pair_energy
 
@@ -92,6 +93,19 @@ class TestBeliefValidation:
         nodes = np.linspace(-1, 1, 21)
         with pytest.raises(ValueError):
             validate_belief(GriddedDensity(nodes, np.full(21, 0.4)))
+
+    @pytest.mark.parametrize("belief", [
+        DiscreteSymmetric([(0.0, math.nan)]),
+        DiscreteSymmetric([(math.nan, 1.0)]),
+        DiscreteSymmetric([(-0.3, math.nan), (0.3, math.nan)]),
+        GriddedDensity([-1.0, 0.0, 1.0], [math.nan] * 3),
+        GriddedDensity([-1.0, 0.0, 1.0], [0.0, math.nan, 0.0]),
+        GriddedDensity([-1.0, math.nan, 1.0], [0.5] * 3),
+    ], ids=["atom-weight", "atom-value", "mirrored-weights", "densities",
+            "middle-density", "node"])
+    def test_nan_fails_validation(self, belief):
+        with pytest.raises(ValueError):
+            validate_belief(belief)
 
     def test_belief_is_validated_once_and_returned_as_given(self):
         belief = DiscreteSymmetric([(-0.3, 0.5), (0.3, 0.5)])
@@ -571,3 +585,20 @@ def test_magnetization_pmf_equality_is_identity():
     law = magnetization_pmf(1.0, 10)
     assert (law == magnetization_pmf(1.0, 10)) is False
     assert law == law
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**6])
+def test_independent_voters_are_the_point_mass_belief(n):
+    # so is a single mean-field voter, who has no pair to couple
+    models = [Independent(), CommonBelief(PointMassZero())]
+    if n == 1:
+        models += [MeanField(0.0), MeanField(0.8), MeanField(1.5)]
+    triples, laws, draws, states = [], [], [], []
+    for model in models:
+        triples.append(_state_moments(StateSpec("s", n, model)))
+        laws.append(count_law(model, n).tobytes())
+        gen = RngStream(17).generator()
+        draws.append(totals_sampler(model, n)(gen, 2000).tobytes())
+        states.append(repr(gen.bit_generator.state))
+    for values in (triples, laws, draws, states):
+        assert all(v == values[0] for v in values)

@@ -48,7 +48,7 @@ def _subprocess_env():
 
 
 class TestBinomialUfuncs:
-    @pytest.mark.parametrize("module", [estimators, measures, weights])
+    @pytest.mark.parametrize("module", [estimators, measures])
     @pytest.mark.parametrize("n", POPULATIONS)
     @pytest.mark.parametrize("p", SUCCESS_PS)
     def test_pmf_matches_binom_pmf(self, module, n, p):
