@@ -19,7 +19,7 @@ from .core import CommonBelief, check_population
 from .measures import (
     ATOMIC,
     UniformSymmetric,
-    _half_line_cells,
+    _abs_moment,
     count_law,
     validate_belief,
 )
@@ -42,19 +42,6 @@ def second_moment(belief):
     """Integral of zeta^2 d mu; equals the covariance of any two voters
     under the induced voting measure."""
     return _abs_moment(validate_belief(belief), 2)
-
-
-def _abs_moment(belief, power):
-    """E|Z|^power (power 1 or 2) of a validated belief: the sum over its
-    atoms, each term multiplied left to right as w |z| |z|, or Simpson's
-    rule per cell of a continuous belief's linear density on z >= 0, exact
-    for this cubic, doubled by symmetry."""
-    if isinstance(belief, ATOMIC):
-        return float(sum(math.prod([w] + [abs(z)] * power) for z, w in belief.atoms))
-    lo, hi, r0, r1 = _half_line_cells(belief).T
-    mid = (lo + hi) / 2.0
-    ends = r0 * lo**power + 2.0 * (r0 + r1) * mid**power + r1 * hi**power
-    return float(np.sum((hi - lo) / 3.0 * ends))
 
 
 # --------------------------------------------------------------------------

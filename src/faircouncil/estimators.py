@@ -1,15 +1,18 @@
 """Expected-margin estimators: exact, Monte Carlo, and asymptotic routes.
 
 The expected margin E|S|, S the total spin of a state, is the quantity that
-fixes the state's fair council weight. Exact evaluation uses the structure
-of each measure: a closed form for the binomial moment (one cdf and one pmf
-per success probability, de Moivre's identity), quadrature of that closed
-form over the belief for common-belief mixtures, and the magnetization law
-for the mean-field model. Monte Carlo draws every worker substream from one
-``measures.totals_sampler``, built once per call.
+fixes the state's fair council weight. ``state_law`` is the one place that
+picks a state's law, and every exact per-state moment (E|S|, E S^2 and
+P(S = 0), here and in ``weights``) reads it: the magnetization law for the
+mean-field Gibbs law, else a ``MixtureLaw``, which integrates a closed form
+for the binomial moment (one cdf and one pmf per success probability, de
+Moivre's identity) over the mixing belief and reads P(S = s) from the
+closed-form law of the yes-count. Monte Carlo draws every worker substream
+from one ``measures.totals_sampler``, built once per call.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 # The Boost binomial ufuncs that scipy.stats.binom wraps, called without its
@@ -27,6 +30,8 @@ from .core import (
 )
 from . import meanfield
 from .measures import (
+    _abs_moment,
+    _common_belief_law,
     belief_expectation,
     magnetization_pmf,
     mixing_belief,
@@ -78,15 +83,6 @@ def binom_mean_abs_deviation(n, ps):
     return _binom_abs_dev(n, ps, n * ps)
 
 
-def _belief_margin(belief, n, rel_tol=1e-10):
-    """Quadrature of the binomial absolute-spin moment over the belief."""
-
-    def f(zs):
-        return binom_abs_moments(n, (1.0 + zs) / 2.0)
-
-    return float(belief_expectation(belief, f, rel_tol=rel_tol))
-
-
 def belief_coupling_moment(belief, n, rel_tol=1e-8):
     """E|S - N Z| under the belief mixture: the mean absolute deviation of
     the vote sum about its conditional mean, integrated over the belief."""
@@ -95,6 +91,47 @@ def belief_coupling_moment(belief, n, rel_tol=1e-8):
         return 2.0 * binom_mean_abs_deviation(n, (1.0 + zs) / 2.0)
 
     return float(belief_expectation(belief, f, rel_tol=rel_tol))
+
+
+@dataclass(frozen=True)
+class MixtureLaw:
+    """Law of the total spin S of n voters under the binomial mixture over
+    a validated belief, read as ``MagnetizationPmf`` is: ``abs_moment`` and
+    ``prob_of``."""
+
+    belief: object
+    n: int
+
+    def abs_moment(self, power=1):
+        """E|S|, the quadrature of the binomial absolute-spin moment over
+        the belief, or E S^2 = N + N(N-1) E Z^2 (power 1 or 2)."""
+        n = self.n
+        if power == 2:
+            return n + n * (n - 1) * _abs_moment(self.belief, 2)
+        if power != 1:
+            raise ValueError(f"a mixture law gives power 1 or 2, got {power}")
+        return float(belief_expectation(self.belief, lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0)))
+
+    def prob_of(self, s):
+        """P(S = s): the closed-form law of the yes-count at k = (n + s)/2,
+        taken with its mirror n - k."""
+        k, odd = divmod(self.n + int(s), 2)
+        if odd or not 0 <= k <= self.n:
+            return 0.0
+        ks = np.array(sorted({k, self.n - k}), dtype=float)
+        return float(_common_belief_law(self.belief, self.n, ks)[0])
+
+
+def state_law(model, n):
+    """The law of the total spin S of n voters under the model, the one
+    place that picks it: the mean-field Gibbs law at n >= 2 is
+    ``magnetization_pmf``, every other model the ``MixtureLaw`` over its
+    mixing belief (see ``measures.mixing_belief``)."""
+    validate_model(model)
+    belief = mixing_belief(model, n)
+    if belief is None:
+        return magnetization_pmf(model.coupling, n)
+    return MixtureLaw(belief, n)
 
 
 def check_exact_route(model, n, max_population=DEFAULT_POPULATION_BUDGET):
@@ -110,18 +147,10 @@ def check_exact_route(model, n, max_population=DEFAULT_POPULATION_BUDGET):
 
 
 def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):
-    """Exact E|S| for the model at population n.
-
-    Routes: a binomial mixture integrates the shifted-binomial moment over
-    its mixing belief (see ``measures.mixing_belief``); the mean-field
-    Gibbs law sums |s| against the magnetization law.
-    """
+    """Exact E|S| for the model at population n, read from its
+    ``state_law``."""
     check_exact_route(model, n, max_population)
-    belief = mixing_belief(model, n)
-    if belief is None:
-        value = magnetization_pmf(model.coupling, n).abs_moment()
-    else:
-        value = _belief_margin(belief, n)
+    value = state_law(model, n).abs_moment()
     return MarginEstimate(value=value, std_error=0.0, method=EXACT, samples=0)
 
 
@@ -172,9 +201,7 @@ def expected_margin_asymptotic(model, n):
     n = check_population(n)
     if isinstance(model, MeanField):
         return meanfield.asymptotic_weight_meanfield(model.coupling, n)
-    from .commonbelief import mu_bar
-
-    mean_abs = mu_bar(mixing_belief(model, n))
+    mean_abs = _abs_moment(mixing_belief(model, n), 1)
     value = n * mean_abs if mean_abs > 0.0 else ROOT_2_OVER_PI * math.sqrt(n)
     return MarginEstimate(value=value, std_error=0.0, method=ASYMPTOTIC, samples=0)
 

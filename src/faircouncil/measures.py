@@ -12,9 +12,12 @@ the votes:
 Behind them stand two laws of the total. ``mixing_belief`` gives the belief
 whose binomial mixture is a model's law at population N, the point mass at
 zero for independent voters and for a single mean-field voter; the other
-law is the mean-field Gibbs law at N >= 2, ``magnetization_pmf``. A point
-mass is the one atom (0, 1): it and ``DiscreteSymmetric`` are read from
-their ``atoms``.
+law is the mean-field Gibbs law at N >= 2, ``magnetization_pmf``.
+``estimators.state_law`` picks between them for every exact per-state
+moment; this module cannot import it, so ``count_law`` and
+``totals_sampler`` make the same choice here. A point mass is the one atom
+(0, 1): it and ``DiscreteSymmetric`` are read from their ``atoms``, and a
+belief's E|Z|^p from ``_abs_moment``.
 
 A continuous belief is uniform or the piecewise-linear density through a
 grid's nodes. Expectations of other functions over it are integrated by
@@ -197,6 +200,19 @@ def _half_line_cells(belief):
     edges = np.union1d(0.0, nodes[nodes > 0.0])
     rho = np.interp(edges, nodes, belief.densities)
     return np.column_stack([edges[:-1], edges[1:], rho[:-1], rho[1:]])
+
+
+def _abs_moment(belief, power):
+    """E|Z|^power (power 1 or 2) of a validated belief: the sum over its
+    atoms, each term multiplied left to right as w |z| |z|, or Simpson's
+    rule per cell of a continuous belief's linear density on z >= 0, exact
+    for this cubic, doubled by symmetry."""
+    if isinstance(belief, ATOMIC):
+        return float(sum(math.prod([w] + [abs(z)] * power) for z, w in belief.atoms))
+    lo, hi, r0, r1 = _half_line_cells(belief).T
+    mid = (lo + hi) / 2.0
+    ends = r0 * lo**power + 2.0 * (r0 + r1) * mid**power + r1 * hi**power
+    return float(np.sum((hi - lo) / 3.0 * ends))
 
 
 def belief_expectation(belief, f, rel_tol=QUAD_REL_TOL):

@@ -16,9 +16,9 @@ frequently quoted half-margin variant is not a minimizer: direct
 enumeration shows the deficit still decreasing there, and a single-voter
 state makes it obvious (w = E|S| = 1 gives zero deficit, w = 1/2 does not).
 
-The expansion needs three numbers per state: ``council_moments`` computes
-them once per call into a ``MomentTable`` (one magnetization law per
-mean-field state), on which every semi-exact route evaluates its closed form.
+The expansion needs three numbers per state: ``council_moments`` reads them
+from one ``estimators.state_law`` per state into a ``MomentTable``, on which
+every semi-exact route evaluates its closed form.
 The exact route enumerates the product of the states' yes-count laws, reading
 one ``count_law`` per state.
 """
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .commonbelief import second_moment
 from .core import (
     EXACT,
     MONTE_CARLO,
@@ -37,14 +36,7 @@ from .core import (
     signs,
     split_budget,
 )
-from .measures import (
-    _common_belief_law,
-    _enumeration_law,
-    magnetization_pmf,
-    mixing_belief,
-    totals_sampler,
-    validate_model,
-)
+from .measures import _enumeration_law, totals_sampler, validate_model
 
 SEMI_EXACT = "semi_exact"
 
@@ -177,26 +169,16 @@ def state_margin(state, samples=100_000, rng=None, workers=1,
 
 
 def state_second_moment(state):
-    """Exact E(S^2): N + N(N-1) * second_moment(mu) for a binomial mixture
-    over mu (N for independent voters, mu the point mass), and the
-    magnetization-law moment for the mean-field Gibbs law."""
-    n = state.population
-    belief = mixing_belief(state.model, n)
-    if belief is None:
-        return magnetization_pmf(state.model.coupling, n).abs_moment(power=2)
-    return n + n * (n - 1) * second_moment(belief)
+    """Exact E(S^2), read from the state's ``estimators.state_law``."""
+    return estimators.state_law(state.model, state.population).abs_moment(power=2)
 
 
 def state_tie_probability(state):
-    """P(S = 0); zero for odd populations."""
+    """P(S = 0), read from the state's law; zero for odd populations."""
     n = state.population
     if n % 2:
         return 0.0
-    belief = mixing_belief(state.model, n)
-    if belief is None:
-        return magnetization_pmf(state.model.coupling, n).prob_of(0)
-    # the middle yes-count n/2 is its own mirror image
-    return float(_common_belief_law(belief, n, np.array([n / 2]))[0])
+    return estimators.state_law(state.model, n).prob_of(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +212,11 @@ class MomentTable:
 
 
 def _state_moments(state):
-    """(E|S|, E(S^2), P(S = 0)) of one state; a mean-field Gibbs law gives
-    all three from one magnetization law."""
+    """(E|S|, E(S^2), P(S = 0)) of one state, all three from one law."""
     model, n = state.model, state.population
-    if mixing_belief(model, n) is None:
-        estimators.check_exact_route(model, n)
-        law = magnetization_pmf(model.coupling, n)
-        return law.abs_moment(), law.abs_moment(power=2), law.prob_of(0)
-    return state_margin(state).value, state_second_moment(state), state_tie_probability(state)
+    estimators.check_exact_route(model, n)
+    law = estimators.state_law(model, n)
+    return law.abs_moment(), law.abs_moment(power=2), law.prob_of(0)
 
 
 def council_moments(council):
