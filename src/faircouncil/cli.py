@@ -462,7 +462,7 @@ def _cmd_delta(args, cfg, resolved):
 
 
 def _cmd_scaling(args, cfg, resolved):
-    grid = parse_grid(args.grid if args.grid is not None else cfg.get("grid", "256:16384:x2"))
+    grid = _setting(args.grid, cfg, "grid", parse_grid, parse_grid("256:16384:x2"))
     method = _setting(args.method, cfg, "method", _name(EXACT, MONTE_CARLO, ASYMPTOTIC), EXACT)
     if method == MONTE_CARLO:
         _require_trials(args, 2)
@@ -513,7 +513,7 @@ def _cmd_solve_cj(args, cfg, resolved):
 def _cmd_regime(args, cfg, resolved):
     family = _family(args, cfg)
     epsilon = _setting(args.epsilon, cfg, "epsilon", float, 0.1)
-    grid = parse_grid(args.grid if args.grid is not None else cfg.get("grid", "256:16384:x2"))
+    grid = _setting(args.grid, cfg, "grid", parse_grid, parse_grid("256:16384:x2"))
     try:
         report = classify_regime(family, epsilon, grid)
     except ValueError as exc:
@@ -552,7 +552,7 @@ def _cmd_distribution(args, cfg, resolved):
     if n is not None:
         grid = [n]
     else:
-        grid = parse_grid(args.grid if args.grid is not None else cfg.get("grid", "100:10000:x10"))
+        grid = _setting(args.grid, cfg, "grid", parse_grid, parse_grid("100:10000:x10"))
     resolved.update({
         "belief": model_to_config(belief),
         "grid": grid,

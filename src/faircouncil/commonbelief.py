@@ -20,6 +20,7 @@ from .measures import (
     ATOMIC,
     UniformSymmetric,
     _abs_moment,
+    _atom_arrays,
     count_law,
     validate_belief,
 )
@@ -212,8 +213,7 @@ def _belief_atoms(belief):
     by less than 1e-4.
     """
     if isinstance(belief, ATOMIC):
-        zs = np.array([z for z, _ in belief.atoms])
-        ws = np.array([w for _, w in belief.atoms])
+        zs, ws = _atom_arrays(belief)
         return zs, ws / ws.sum()
     if isinstance(belief, UniformSymmetric):
         edges = np.linspace(-belief.a, belief.a, _TRANSPORT_ATOMS + 1)

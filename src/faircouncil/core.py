@@ -165,9 +165,6 @@ class MarginEstimate:
 # deterministic random streams
 # --------------------------------------------------------------------------
 
-_U64 = np.uint64(2**64 - 1)
-
-
 class RngStream:
     """A Philox-backed random stream keyed by (seed, stream_id).
 

@@ -134,8 +134,7 @@ def _check_belief(belief):
         atoms = belief.atoms
         if not atoms:
             raise ValueError("discrete belief needs at least one atom")
-        zs = np.array([z for z, _ in atoms])
-        ws = np.array([w for _, w in atoms])
+        zs, ws = _atom_arrays(belief)
         if not np.all(np.abs(zs) <= 1.0):
             raise ValueError("belief atoms must lie in [-1, 1]")
         if not np.all(ws >= 0.0):
@@ -172,6 +171,18 @@ def _check_belief(belief):
 
 
 _checked_belief = lru_cache(maxsize=256)(_check_belief)
+
+
+@lru_cache(maxsize=256)
+def _atom_arrays(belief):
+    """(zs, ws): an atomic belief's atom values and weights, the two
+    read-only columns of one array built once per frozen belief. A column
+    is a strided view: ``@`` and ``tensordot`` choose their reduction order
+    by layout, so a reduction that has always read a contiguous copy still
+    does."""
+    atoms = np.array(belief.atoms)
+    atoms.flags.writeable = False
+    return tuple(atoms.T)
 
 
 def validate_model(model):
@@ -231,9 +242,8 @@ def belief_expectation(belief, f, rel_tol=QUAD_REL_TOL):
     """
     validate_belief(belief)
     if isinstance(belief, ATOMIC):
-        zs = np.array([z for z, _ in belief.atoms])
-        ws = np.array([w for _, w in belief.atoms])
-        return np.tensordot(ws, f(zs), axes=(0, 0))
+        zs, ws = _atom_arrays(belief)
+        return np.tensordot(np.ascontiguousarray(ws), f(zs), axes=(0, 0))
     cells = _half_line_cells(belief)
     span = np.sum(cells[:, 1] - cells[:, 0])
     prev = None
@@ -416,7 +426,7 @@ def _common_belief_law(belief, n, k):
     point mass the fair row; a continuous belief sums the closed form of
     each half-line cell, h, and mirrors it, h + h[::-1]."""
     if isinstance(belief, ATOMIC):
-        zs, ws = np.array(belief.atoms).T
+        zs, ws = _atom_arrays(belief)
         return ws @ _binom_pmf(k, n, (1.0 + zs[:, None]) / 2.0)
     half = sum(_cell_count_mass(k, n, *cell) for cell in _half_line_cells(belief))
     return half + half[::-1]
@@ -463,7 +473,7 @@ def _enumeration_law(model, n):
     return law
 
 
-def pmf_exact(model, outcome, max_population=ENUMERATION_CAP):
+def pmf_exact(model, outcome):
     """Probability of one exact outcome under the model: the measures are
     exchangeable, so the C(N, k) outcomes with k yes-votes share P(K = k).
 
@@ -473,11 +483,10 @@ def pmf_exact(model, outcome, max_population=ENUMERATION_CAP):
     validate_model(model)
     votes = as_outcome(outcome)
     n = votes.size
-    if n > max_population:
-        raise ValueError(f"exact pmf is limited to N <= {max_population}, got {n}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"exact pmf is limited to N <= {ENUMERATION_CAP}, got {n}")
     k = (int(votes.sum(dtype=np.int64)) + n) // 2
-    law = _enumeration_law(model, n) if n <= ENUMERATION_CAP else count_law(model, n)
-    return float(law[k] / math.comb(n, k))
+    return float(_enumeration_law(model, n)[k] / math.comb(n, k))
 
 
 # --------------------------------------------------------------------------
@@ -494,8 +503,7 @@ def belief_sampler(belief):
     if isinstance(belief, UniformSymmetric):
         return lambda gen, size: gen.uniform(-belief.a, belief.a, size)
     if isinstance(belief, DiscreteSymmetric):
-        zs = np.array([z for z, _ in belief.atoms])
-        ws = np.array([w for _, w in belief.atoms])
+        zs, ws = _atom_arrays(belief)
         p = ws / ws.sum()
         return lambda gen, size: gen.choice(zs, p=p, size=size)
     # gridded: piecewise-linear density, sampled by inverse CDF per cell
@@ -610,28 +618,17 @@ def sample_totals(model, n, size, rng):
 
 
 def sample(model, n, rng):
-    """Draw one full outcome from the model.
-
-    Every implemented measure is exchangeable, so the outcome is generated
-    by drawing the total spin and then placing the yes-votes on a uniformly
-    random subset of voters.
-    """
-    n = check_population(n)
-    gen = rng.generator()
-    if isinstance(model, Independent):
-        return (2 * gen.integers(0, 2, size=n, dtype=np.int8) - 1).astype(np.int8)
-    if isinstance(model, CommonBelief):
-        z = float(sample_belief(model.belief, gen, 1)[0])
-        yes = gen.random(n) < (1.0 + z) / 2.0
-        return np.where(yes, 1, -1).astype(np.int8)
-    s = int(_totals_with_generator(model, n, 1, gen)[0])
-    votes = np.full(n, -1, dtype=np.int8)
-    votes[gen.permutation(n)[: (n + s) // 2]] = 1
-    return votes
+    """Draw one full outcome from the model: the one row of
+    ``sample_outcomes(model, n, 1, rng)``."""
+    return sample_outcomes(model, n, 1, rng)[0]
 
 
 def sample_outcomes(model, n, size, rng):
-    """Matrix of ``size`` outcomes (rows of spins), vectorized for small n."""
+    """Matrix of ``size`` outcomes (rows of spins), vectorized for small n.
+
+    Every implemented measure is exchangeable: a mean-field row draws its
+    total spin and places the yes-votes on a uniformly random subset of
+    voters, and the other models draw each vote given the row's belief."""
     n = check_population(n)
     gen = rng.generator()
     if isinstance(model, Independent):

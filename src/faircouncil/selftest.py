@@ -36,18 +36,16 @@ class CheckResult:
     detail: str = ""
 
 
-def _models(include_heavy=True):
-    models = [
+def _models():
+    return [
         ("independent", Independent()),
         ("belief:point_mass", CommonBelief(PointMassZero())),
         ("belief:uniform(1)", CommonBelief(UniformSymmetric(1.0))),
         ("belief:atoms(0.4)", CommonBelief(DiscreteSymmetric([(-0.4, 0.5), (0.4, 0.5)]))),
         ("meanfield(0)", MeanField(0.0)),
         ("meanfield(0.7)", MeanField(0.7)),
+        ("meanfield(1.5)", MeanField(1.5)),
     ]
-    if include_heavy:
-        models.append(("meanfield(1.5)", MeanField(1.5)))
-    return models
 
 
 def _all_outcomes(n):

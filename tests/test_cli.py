@@ -605,6 +605,9 @@ class TestConfigProbes:
         ("delta", UNION, "mode"),
         ("margin", {"model": {"type": "independent"}, "population": 7}, "method"),
         ("regime", {"family": {"type": "straffin", "beta": 0.25}, "grid": "256:1024:x2"}, "c"),
+        ("scaling", {"model": {"type": "independent"}}, "grid"),
+        ("regime", {"family": {"type": "straffin", "beta": 0.25}}, "grid"),
+        ("distribution", {"belief": {"type": "uniform", "a": 0.5}}, "grid"),
     ])
     def test_null_reads_as_absent(self, cmd, cfg, key, tmp_path, capsys):
         extra = ["--trials", "500"] if cmd == "council-sim" else []

@@ -275,6 +275,13 @@ class TestSamplers:
             assert np.array_equal(a, b)
             assert set(np.unique(a)) <= {-1, 1}
 
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_sample_is_one_row_of_sample_outcomes(self, model, n):
+        one, rows = RngStream(8, n), RngStream(8, n)
+        assert np.array_equal(sample(model, n, one), sample_outcomes(model, n, 1, rows)[0])
+        assert one.generator().random() == rows.generator().random()
+
     @pytest.mark.parametrize("model", [Independent(), CommonBelief(UniformSymmetric(0.5))])
     @pytest.mark.parametrize("n, message", [(0, ">= 1"), (2.5, "whole number")])
     def test_outcome_samplers_check_the_population(self, model, n, message):
