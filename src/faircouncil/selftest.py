@@ -115,14 +115,21 @@ def _check_sign_identity():
     return True, ""
 
 
-def _check_margins_vs_bruteforce():
+def _check_moments_vs_bruteforce():
     for label, model in _models():
         for n in (5, 8):
             outcomes = _all_outcomes(n)
-            brute = sum(pmf_exact(model, o) * margin(o) for o in outcomes)
-            exact = estimators.expected_margin_exact(model, n).value
-            if abs(brute - exact) > 1e-9:
-                return False, f"{label} n={n}: {brute!r} vs {exact!r}"
+            probs = np.array([pmf_exact(model, o) for o in outcomes])
+            totals = outcomes.sum(axis=1, dtype=np.int64)
+            law = estimators.state_law(model, n)
+            for name, stat, exact in (
+                ("E|S|", np.abs(totals), estimators.expected_margin_exact(model, n).value),
+                ("E S^2", totals**2, law.abs_moment(power=2)),
+                ("P(S=0)", totals == 0, law.prob_of(0)),
+            ):
+                brute = float(probs @ stat)
+                if abs(brute - exact) > 1e-9:
+                    return False, f"{label} n={n} {name}: {brute!r} vs {exact!r}"
     for m in (3, 8, 40):
         closed = 2 * m * math.comb(2 * m, m) / 4.0**m
         exact = estimators.expected_margin_exact(Independent(), 2 * m).value
@@ -230,7 +237,7 @@ CHECKS = (
     ("measures.field_map", _check_field_map),
     ("measures.sampler_inverse_cdf", _check_sampler_inverse_cdf),
     ("weights.sign_identity", _check_sign_identity),
-    ("estimators.bruteforce_margins", _check_margins_vs_bruteforce),
+    ("estimators.bruteforce_margins", _check_moments_vs_bruteforce),
     ("meanfield.fixed_point", _check_fixed_point),
     ("weights.deficit_routes", _check_deficit_routes),
     ("commonbelief.bounds", _check_belief_bounds),

@@ -19,10 +19,11 @@ from faircouncil import (
     expected_margin_exact,
     expected_margin_mc,
 )
-from faircouncil.estimators import binom_abs_moments, binom_mean_abs_deviation
+from faircouncil.estimators import binom_abs_moments, binom_mean_abs_deviation, state_law
+from faircouncil.measures import pmf_exact
 from faircouncil.meanfield import CriticalCouplingError, asymptotic_weight_meanfield
 
-from oracles import brute_force_margin, independent_abs_margin_closed_form
+from oracles import all_outcomes, brute_force_margin, independent_abs_margin_closed_form
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -252,3 +253,38 @@ class TestPopulationChecks:
     def test_asymptotic_mean_field_helper(self, n):
         with pytest.raises(ValueError, match="population must be"):
             asymptotic_weight_meanfield(0.5, n)
+
+
+HAT = np.linspace(-1, 1, 21)
+STATE_LAW_MODELS = {
+    "independent": Independent(),
+    "meanfield_0": MeanField(0.0),
+    "meanfield_0.7": MeanField(0.7),
+    "meanfield_1.5": MeanField(1.5),
+    "point_mass": CommonBelief(PointMassZero()),
+    "uniform_1": CommonBelief(UniformSymmetric(1.0)),
+    "uniform_0.3": CommonBelief(UniformSymmetric(0.3)),
+    "atoms_3": CommonBelief(DiscreteSymmetric([(-0.5, 0.25), (0.0, 0.5), (0.5, 0.25)])),
+    "grid_hat": CommonBelief(GriddedDensity(HAT, 1.0 - np.abs(HAT))),
+}
+
+
+@pytest.mark.parametrize("name", STATE_LAW_MODELS)
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+def test_state_law_matches_enumeration(name, n):
+    """E|S|, E S^2 and every P(S = s), impossible spins included, against
+    sums over all 2^n outcomes."""
+    model = STATE_LAW_MODELS[name]
+    outcomes = all_outcomes(n)
+    probs = np.array([pmf_exact(model, o) for o in outcomes])
+    totals = outcomes.sum(axis=1, dtype=np.int64)
+    law = state_law(model, n)
+    assert law.abs_moment() == pytest.approx(float(probs @ np.abs(totals)), rel=1e-10)
+    assert law.abs_moment(power=2) == pytest.approx(float(probs @ totals**2), rel=1e-12)
+    for s in range(-n - 1, n + 2):
+        assert law.prob_of(s) == pytest.approx(float(probs[totals == s].sum()), rel=1e-12, abs=1e-16), s
+
+
+def test_mixture_law_gives_powers_one_and_two_only():
+    with pytest.raises(ValueError, match="power 1 or 2"):
+        state_law(Independent(), 5).abs_moment(power=3)
