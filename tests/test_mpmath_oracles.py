@@ -156,7 +156,7 @@ def piecewise_linear_count_law(nodes, densities, n, ks, digits):
 
 HAT_NODES = np.linspace(-1, 1, 201)
 CONTINUOUS_BELIEFS = {
-    **{f"uniform_{a:g}": ((-a, a), (0.5 / a, 0.5 / a)) for a in (1.0, 0.1, 1e-3)},
+    **{f"uniform_{a:g}": ((-a, a), (0.5 / a, 0.5 / a)) for a in (1.0, 0.1, 1e-3, 1e-4, 1e-5, 1e-6)},
     "grid_flat": (np.linspace(-1, 1, 11), np.full(11, 0.5)),
     "grid_hat": (HAT_NODES, 1.0 - np.abs(HAT_NODES)),
 }
@@ -175,3 +175,19 @@ def test_continuous_belief_count_law(name, n):
     truths = piecewise_linear_count_law(list(nodes), list(densities), n, ks, digits)
     for k, truth in zip(ks, truths):
         assert _relative_error(law[k], truth) <= 1e-12, k
+
+
+def uniform_tie(a, n):
+    """P(S = 0) under the uniform belief on [-a, a] at even n:
+    C(n, n/2) 2^-n (1/(2a)) times the integral of (1 - z^2)^(n/2) over [-a, a]."""
+    with mp.workdps(DIGITS):
+        integral = 2 * mp.quad(lambda z: (1 - z * z) ** (n // 2), [0, mp.mpf(a)])
+        return mp.binomial(n, n // 2) / mp.mpf(2) ** n * integral / (2 * mp.mpf(a))
+
+
+# the narrowest half-width is Straffin's a_N = N^(-3/4) at N = 1e7
+@pytest.mark.parametrize("a", [1e-4, 5.6e-6, 1e-6])
+def test_narrow_uniform_tie(a):
+    n = 10**7
+    value = state_tie_probability(StateSpec("u", n, CommonBelief(UniformSymmetric(a))))
+    assert _relative_error(value, uniform_tie(a, n)) <= 1e-12
