@@ -103,20 +103,14 @@ def classify_regime(family, epsilon, n_grid):
     mu_bars = [mu_bar(family(n)) for n in n_grid]
     if any(m <= 0.0 for m in mu_bars):
         # zero mean absolute belief decays faster than any power
-        return RegimeReport(
-            verdict=SQUARE_ROOT,
-            decay_exponent=math.inf,
-            weight_exponent=0.5,
-            epsilon=epsilon,
-            grid=tuple(zip(n_grid, mu_bars)),
-        )
-    if len(set(n_grid)) < 2:
+        decay = math.inf
+    elif len(set(n_grid)) < 2:
         raise ValueError("need at least two distinct populations to fit a decay rate")
-    x = np.log(np.asarray(n_grid, dtype=float))
-    y = np.log(np.asarray(mu_bars))
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, _), *_ = np.linalg.lstsq(design, y, rcond=None)
-    decay = -float(slope)
+    else:
+        x = np.log(np.asarray(n_grid, dtype=float))
+        design = np.vstack([x, np.ones_like(x)]).T
+        (slope, _), *_ = np.linalg.lstsq(design, np.log(np.asarray(mu_bars)), rcond=None)
+        decay = -float(slope)
     if decay < 0.5 - epsilon:
         verdict, alpha = LINEAR, 1.0 - decay
     elif decay > 0.5 + epsilon:
@@ -220,16 +214,11 @@ def _belief_atoms(belief):
         mids = (edges[:-1] + edges[1:]) / 2.0
         return mids, np.full(_TRANSPORT_ATOMS, 1.0 / _TRANSPORT_ATOMS)
     nodes = np.array(belief.nodes)
-    dens = np.array(belief.densities)
     per_cell = max(1, _TRANSPORT_ATOMS // (nodes.size - 1))
-    mids, masses = [], []
-    for i in range(nodes.size - 1):
-        sub = np.linspace(nodes[i], nodes[i + 1], per_cell + 1)
-        d = np.interp(sub, nodes, dens)
-        mids.append((sub[:-1] + sub[1:]) / 2.0)
-        masses.append(np.diff(sub) * (d[:-1] + d[1:]) / 2.0)
-    mids = np.concatenate(mids)
-    masses = np.concatenate(masses)
+    sub = np.linspace(nodes[:-1], nodes[1:], per_cell + 1, axis=1)
+    d = np.interp(sub, nodes, belief.densities)
+    mids = ((sub[:, :-1] + sub[:, 1:]) / 2.0).ravel()
+    masses = (np.diff(sub, axis=1) * (d[:, :-1] + d[:, 1:]) / 2.0).ravel()
     return mids, masses / masses.sum()
 
 

@@ -1,14 +1,12 @@
 """Expected-margin estimators: exact, Monte Carlo, and asymptotic routes.
 
 The expected margin E|S|, S the total spin of a state, is the quantity that
-fixes the state's fair council weight. ``state_law`` is the one place that
-picks a state's law, and every exact per-state moment (E|S|, E S^2 and
-P(S = 0), here and in ``weights``) reads it: the magnetization law for the
+fixes the state's fair council weight. Every exact per-state moment reads
+the one law that ``state_law`` picks: the magnetization law for the
 mean-field Gibbs law, else a ``MixtureLaw``, which integrates a closed form
 for the binomial moment (one cdf and one pmf per success probability, de
-Moivre's identity) over the mixing belief and reads P(S = s) from the
-closed-form law of the yes-count. Monte Carlo draws every worker substream
-from one ``measures.totals_sampler``, built once per call.
+Moivre's identity) over the mixing belief. Monte Carlo draws every worker
+substream from one ``measures.totals_sampler``, built once per call.
 """
 
 import math
@@ -95,16 +93,14 @@ def belief_coupling_moment(belief, n, rel_tol=1e-8):
 
 @dataclass(frozen=True)
 class MixtureLaw:
-    """Law of the total spin S of n voters under the binomial mixture over
-    a validated belief, read as ``MagnetizationPmf`` is: ``abs_moment`` and
-    ``prob_of``."""
+    """The law of S under the binomial mixture of n voters over a validated
+    belief, read as a ``MagnetizationPmf`` is."""
 
     belief: object
     n: int
 
     def abs_moment(self, power=1):
-        """E|S|, the quadrature of the binomial absolute-spin moment over
-        the belief, or E S^2 = N + N(N-1) E Z^2 (power 1 or 2)."""
+        """E|S| by quadrature over the belief, or E S^2 = N + N(N-1) E Z^2."""
         n = self.n
         if power == 2:
             return n + n * (n - 1) * _abs_moment(self.belief, 2)
@@ -113,8 +109,7 @@ class MixtureLaw:
         return float(belief_expectation(self.belief, lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0)))
 
     def prob_of(self, s):
-        """P(S = s): the closed-form law of the yes-count at k = (n + s)/2,
-        taken with its mirror n - k."""
+        """P(S = s), from the closed-form law of the yes-count at k and n - k."""
         k, odd = divmod(self.n + int(s), 2)
         if odd or not 0 <= k <= self.n:
             return 0.0
@@ -123,10 +118,9 @@ class MixtureLaw:
 
 
 def state_law(model, n):
-    """The law of the total spin S of n voters under the model, the one
-    place that picks it: the mean-field Gibbs law at n >= 2 is
-    ``magnetization_pmf``, every other model the ``MixtureLaw`` over its
-    mixing belief (see ``measures.mixing_belief``)."""
+    """The law of S for n voters under the model, picked here alone: the
+    mean-field Gibbs law at n >= 2 is ``magnetization_pmf``, any other the
+    ``MixtureLaw`` over its ``measures.mixing_belief``."""
     validate_model(model)
     belief = mixing_belief(model, n)
     if belief is None:
@@ -147,8 +141,7 @@ def check_exact_route(model, n, max_population=DEFAULT_POPULATION_BUDGET):
 
 
 def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):
-    """Exact E|S| for the model at population n, read from its
-    ``state_law``."""
+    """Exact E|S| for the model at population n, from its ``state_law``."""
     check_exact_route(model, n, max_population)
     value = state_law(model, n).abs_moment()
     return MarginEstimate(value=value, std_error=0.0, method=EXACT, samples=0)

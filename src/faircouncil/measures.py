@@ -13,11 +13,9 @@ Behind them stand two laws of the total. ``mixing_belief`` gives the belief
 whose binomial mixture is a model's law at population N, the point mass at
 zero for independent voters and for a single mean-field voter; the other
 law is the mean-field Gibbs law at N >= 2, ``magnetization_pmf``.
-``estimators.state_law`` picks between them for every exact per-state
-moment; this module cannot import it, so ``count_law`` and
-``totals_sampler`` make the same choice here. A point mass is the one atom
-(0, 1): it and ``DiscreteSymmetric`` are read from their ``atoms``, and a
-belief's E|Z|^p from ``_abs_moment``.
+``estimators.state_law`` picks between them for every exact moment, and
+``count_law`` and ``totals_sampler`` here. A point mass is the one atom
+(0, 1): it and ``DiscreteSymmetric`` are read from their ``atoms``.
 
 A continuous belief is uniform or the piecewise-linear density through a
 grid's nodes. Expectations of other functions over it are integrated by
@@ -131,8 +129,7 @@ def _check_belief(belief):
     if isinstance(belief, (PointMassZero, UniformSymmetric)):
         return
     if isinstance(belief, DiscreteSymmetric):
-        atoms = belief.atoms
-        if not atoms:
+        if not belief.atoms:
             raise ValueError("discrete belief needs at least one atom")
         zs, ws = _atom_arrays(belief)
         if not np.all(np.abs(zs) <= 1.0):
@@ -142,7 +139,7 @@ def _check_belief(belief):
         if not abs(ws.sum() - 1.0) <= MASS_TOL:
             raise ValueError(f"atom weights sum to {float(ws.sum())!r}, not 1")
         weight_of = {}
-        for z, w in atoms:
+        for z, w in belief.atoms:
             weight_of[z] = weight_of.get(z, 0.0) + w
         for z, w in weight_of.items():
             if z != 0.0 and not abs(weight_of.get(-z, math.nan) - w) <= MASS_TOL:
@@ -175,11 +172,9 @@ _checked_belief = lru_cache(maxsize=256)(_check_belief)
 
 @lru_cache(maxsize=256)
 def _atom_arrays(belief):
-    """(zs, ws): an atomic belief's atom values and weights, the two
-    read-only columns of one array built once per frozen belief. A column
-    is a strided view: ``@`` and ``tensordot`` choose their reduction order
-    by layout, so a reduction that has always read a contiguous copy still
-    does."""
+    """(zs, ws) of an atomic belief, built once: read-only strided columns of
+    one array. ``@`` and ``tensordot`` order their sums by layout, so the
+    quadrature still reduces over a contiguous copy."""
     atoms = np.array(belief.atoms)
     atoms.flags.writeable = False
     return tuple(atoms.T)
@@ -409,15 +404,10 @@ def _cdf_drop(k, m, p0, p1):
                            _binom_sf(high, m, p1) - _binom_sf(high, m, p0)])
 
 
-#: A cell narrower than this in z takes a fixed Gauss-Legendre rule of
-#: ``NARROW_CELL_NODES`` points: a binomial cdf drop across a cell of width
-#: a cancels to about 1e-16/a relative. Against 30-digit mpmath, the closed
-#: form on a uniform belief of half-width 1e-3 and wider stays within
-#: 2.2e-13 (the law at n = 16 and 317, the tie at N = 1e5 and 1e7), and the
-#: 16-point rule on half-widths 1e-6 to 9.9e-4 within 6e-14 (the law at
-#: n = 16, 317 and 3160 out to 37 standard deviations, the tie at N = 1e7,
-#: where the cell spans 3.1 standard deviations of p at the switch and 8
-#: points miss by 2e-9).
+#: A cdf drop across a cell of width a cancels to about 1e-16/a relative, so
+#: a cell narrower than this in z takes a fixed ``NARROW_CELL_NODES``-point
+#: Gauss-Legendre rule; both are calibrated against mpmath up to N = 1e7
+#: (README, "Numerical notes").
 NARROW_CELL = 1e-3
 NARROW_CELL_NODES = 16
 
@@ -429,8 +419,7 @@ def _cell_count_mass(k, n, lo, hi, r0, r1):
     are binomial cdf drops (DLMF 8.17): the row integrates to
     [F_(n+1)(k; p0) - F_(n+1)(k; p1)]/(n + 1), and p times it to
     (k + 1)/((n + 1)(n + 2)) [F_(n+2)(k + 1; p0) - F_(n+2)(k + 1; p1)].
-    A cell narrower than ``NARROW_CELL`` sums the binomial pmf over its
-    fixed Gauss-Legendre rule instead."""
+    A cell narrower than ``NARROW_CELL`` sums the pmf over its rule instead."""
     if hi - lo < NARROW_CELL:
         zs, ws = _cell_rule((lo, hi, r0, r1), NARROW_CELL_NODES)
         return sum(w * _binom_pmf(k, n, (1.0 + z) / 2.0) for z, w in zip(zs, ws))

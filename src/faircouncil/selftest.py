@@ -122,14 +122,12 @@ def _check_moments_vs_bruteforce():
             probs = np.array([pmf_exact(model, o) for o in outcomes])
             totals = outcomes.sum(axis=1, dtype=np.int64)
             law = estimators.state_law(model, n)
-            for name, stat, exact in (
-                ("E|S|", np.abs(totals), estimators.expected_margin_exact(model, n).value),
-                ("E S^2", totals**2, law.abs_moment(power=2)),
-                ("P(S=0)", totals == 0, law.prob_of(0)),
-            ):
-                brute = float(probs @ stat)
-                if abs(brute - exact) > 1e-9:
-                    return False, f"{label} n={n} {name}: {brute!r} vs {exact!r}"
+            exact = (estimators.expected_margin_exact(model, n).value,
+                     law.abs_moment(power=2), law.prob_of(0))
+            brute = (probs @ np.abs(totals), probs @ totals**2, probs @ (totals == 0))
+            for name, b, e in zip(("E|S|", "E S^2", "P(S=0)"), brute, exact):
+                if abs(b - e) > 1e-9:
+                    return False, f"{label} n={n} {name}: {b!r} vs {e!r}"
     for m in (3, 8, 40):
         closed = 2 * m * math.comb(2 * m, m) / 4.0**m
         exact = estimators.expected_margin_exact(Independent(), 2 * m).value
