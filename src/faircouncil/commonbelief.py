@@ -103,20 +103,21 @@ def classify_regime(family, epsilon, n_grid):
     mu_bars = [mu_bar(family(n)) for n in n_grid]
     if any(m <= 0.0 for m in mu_bars):
         # zero mean absolute belief decays faster than any power
-        decay = math.inf
+        verdict, decay, alpha = SQUARE_ROOT, math.inf, 0.5
     elif len(set(n_grid)) < 2:
         raise ValueError("need at least two distinct populations to fit a decay rate")
     else:
         x = np.log(np.asarray(n_grid, dtype=float))
+        y = np.log(np.asarray(mu_bars))
         design = np.vstack([x, np.ones_like(x)]).T
-        (slope, _), *_ = np.linalg.lstsq(design, np.log(np.asarray(mu_bars)), rcond=None)
+        (slope, _), *_ = np.linalg.lstsq(design, y, rcond=None)
         decay = -float(slope)
-    if decay < 0.5 - epsilon:
-        verdict, alpha = LINEAR, 1.0 - decay
-    elif decay > 0.5 + epsilon:
-        verdict, alpha = SQUARE_ROOT, 0.5
-    else:
-        verdict, alpha = BOUNDARY, None
+        if decay < 0.5 - epsilon:
+            verdict, alpha = LINEAR, 1.0 - decay
+        elif decay > 0.5 + epsilon:
+            verdict, alpha = SQUARE_ROOT, 0.5
+        else:
+            verdict, alpha = BOUNDARY, None
     return RegimeReport(
         verdict=verdict,
         decay_exponent=decay,

@@ -106,7 +106,8 @@ class MixtureLaw:
             return n + n * (n - 1) * _abs_moment(self.belief, 2)
         if power != 1:
             raise ValueError(f"a mixture law gives power 1 or 2, got {power}")
-        return float(belief_expectation(self.belief, lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0)))
+        return float(belief_expectation(
+            self.belief, lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0)))
 
     def prob_of(self, s):
         """P(S = s), from the closed-form law of the yes-count at k and n - k."""
@@ -118,9 +119,8 @@ class MixtureLaw:
 
 
 def state_law(model, n):
-    """The law of S for n voters under the model, picked here alone: the
-    mean-field Gibbs law at n >= 2 is ``magnetization_pmf``, any other the
-    ``MixtureLaw`` over its ``measures.mixing_belief``."""
+    """The law of S for n voters, picked here alone: ``magnetization_pmf`` for
+    the mean-field Gibbs law, else the ``MixtureLaw`` over the mixing belief."""
     validate_model(model)
     belief = mixing_belief(model, n)
     if belief is None:

@@ -12,10 +12,9 @@ the votes:
 Behind them stand two laws of the total. ``mixing_belief`` gives the belief
 whose binomial mixture is a model's law at population N, the point mass at
 zero for independent voters and for a single mean-field voter; the other
-law is the mean-field Gibbs law at N >= 2, ``magnetization_pmf``.
-``estimators.state_law`` picks between them for every exact moment, and
-``count_law`` and ``totals_sampler`` here. A point mass is the one atom
-(0, 1): it and ``DiscreteSymmetric`` are read from their ``atoms``.
+law is the mean-field Gibbs law at N >= 2, ``magnetization_pmf``; the
+exact moments pick one in ``estimators.state_law``. A point mass is the
+one atom (0, 1): it and ``DiscreteSymmetric`` are read from their ``atoms``.
 
 A continuous belief is uniform or the piecewise-linear density through a
 grid's nodes. Expectations of other functions over it are integrated by
@@ -637,11 +636,8 @@ def sample(model, n, rng):
 
 
 def sample_outcomes(model, n, size, rng):
-    """Matrix of ``size`` outcomes (rows of spins), vectorized for small n.
-
-    Every implemented measure is exchangeable: a mean-field row draws its
-    total spin and places the yes-votes on a uniformly random subset of
-    voters, and the other models draw each vote given the row's belief."""
+    """Matrix of ``size`` outcomes (rows of spins), vectorized for small n; a
+    mean-field row puts its total's yes-votes on a uniformly random subset."""
     n = check_population(n)
     gen = rng.generator()
     if isinstance(model, Independent):

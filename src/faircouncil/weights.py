@@ -395,10 +395,12 @@ def verify_minimizer(council, w_star, step, mode=SEMI_EXACT, vertex_tol=1e-9):
     perturbations = []
     vertices = []
     for i, state in enumerate(council.states):
-        nudge = np.zeros_like(w0)
-        nudge[i] = step
-        d_plus = delta(council, w0 + nudge, mode=mode).value
-        d_minus = delta(council, w0 - nudge, mode=mode).value
+        plus = w0.copy()
+        plus[i] += step
+        minus = w0.copy()
+        minus[i] -= step
+        d_plus = delta(council, plus, mode=mode).value
+        d_minus = delta(council, minus, mode=mode).value
         perturbations.append(PerturbationCheck(state.name, +step, d_plus, d_plus >= base))
         perturbations.append(PerturbationCheck(state.name, -step, d_minus, d_minus >= base))
         curvature = d_plus - 2.0 * base + d_minus

@@ -18,7 +18,7 @@ from faircouncil import (
     mu_bar,
     second_moment,
 )
-from faircouncil.commonbelief import vote_share_law
+from faircouncil.commonbelief import _belief_atoms, vote_share_law
 from faircouncil.estimators import expected_margin_exact
 from faircouncil.measures import belief_expectation, pmf_exact
 from faircouncil.weights import StateSpec, state_tie_probability
@@ -272,3 +272,27 @@ class TestGridMomentsClosedForm:
         ladder_sq = float(belief_expectation(belief, np.square))
         assert mu_bar(belief) == pytest.approx(ladder_abs, rel=1e-12, abs=0)
         assert second_moment(belief) == pytest.approx(ladder_sq, rel=1e-12, abs=0)
+
+
+def _grid_atoms_by_cell(belief, per_cell):
+    """Transport atoms of a gridded belief, one cell at a time."""
+    nodes, dens = np.array(belief.nodes), np.array(belief.densities)
+    mids, masses = [], []
+    for i in range(nodes.size - 1):
+        sub = np.linspace(nodes[i], nodes[i + 1], per_cell + 1)
+        d = np.interp(sub, nodes, dens)
+        mids.append((sub[:-1] + sub[1:]) / 2.0)
+        masses.append(np.diff(sub) * (d[:-1] + d[1:]) / 2.0)
+    masses = np.concatenate(masses)
+    return np.concatenate(mids), masses / masses.sum()
+
+
+@pytest.mark.parametrize("nodes", [np.linspace(-1, 1, 11), np.linspace(-1, 1, 201),
+                                   [-0.9, -0.35, -0.02, 0.0, 0.02, 0.35, 0.9]])
+def test_grid_transport_atoms_match_the_per_cell_loop(nodes):
+    nodes = np.asarray(nodes)
+    dens = 1.0 - np.abs(nodes)
+    belief = GriddedDensity(nodes, dens / np.trapezoid(dens, nodes))
+    mids, masses = _belief_atoms(belief)
+    ref_mids, ref_masses = _grid_atoms_by_cell(belief, max(1, 8192 // (nodes.size - 1)))
+    assert np.array_equal(mids, ref_mids) and np.array_equal(masses, ref_masses)
