@@ -385,11 +385,8 @@ def _require_trials(args, least):
 
 def _cmd_weights(args, cfg, resolved):
     council = parse_council(cfg, args.quota)
-    for s in council.states:
-        try:
-            estimators.check_exact_route(s.model, s.population)
-        except ValueError:  # this state falls back to Monte Carlo
-            _require_trials(args, 2)
+    if any(s.population > estimators.DEFAULT_POPULATION_BUDGET for s in council.states):
+        _require_trials(args, 2)  # those states fall back to Monte Carlo
     rng = RngStream(args.seed)
     wv = optimal_weights(council, samples=args.trials, rng=rng, workers=args.workers)
     resolved["council"] = council_to_config(council)

@@ -6,6 +6,7 @@ of an odd statistic vanishes; the primitives here are the even ones (margins,
 counts) plus the sign rule used for delegate votes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,11 +212,22 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def split_budget(total, workers):
-    """Split ``total`` draws into per-worker chunk sizes (first chunks get
-    the remainder). The partition, not the execution order, is what makes
-    merged Monte Carlo results reproducible."""
+def pooled_mean(values, trials, rng, workers):
+    """The one Monte Carlo accumulation loop: mean, standard error and
+    count of ``trials`` per-trial values. The trials are split into one
+    chunk per worker, the first chunks taking the remainder; chunk k is the
+    array ``values(rng.worker(k), size)``, and the chunks merge by pooled
+    sums. The partition, not the execution order, is what makes merged
+    results reproducible."""
     if workers < 1:
         raise ValueError("need at least one worker")
-    base, extra = divmod(int(total), workers)
-    return [base + (1 if k < extra else 0) for k in range(workers)]
+    count = int(trials)
+    base, extra = divmod(count, workers)
+    total = total_sq = 0.0
+    for k in range(min(workers, count)):
+        x = values(rng.worker(k), base + (1 if k < extra else 0))
+        total += float(x.sum())
+        total_sq += float((x**2).sum())
+    mean = total / count
+    var = max(total_sq - count * mean**2, 0.0) / max(count - 1, 1)
+    return mean, math.sqrt(var / count), count

@@ -5,8 +5,10 @@ fixes the state's fair council weight. Every exact per-state moment reads
 the one law that ``state_law`` picks: the magnetization law for the
 mean-field Gibbs law, else a ``MixtureLaw``, which integrates a closed form
 for the binomial moment (one cdf and one pmf per success probability, de
-Moivre's identity) over the mixing belief. Monte Carlo draws every worker
-substream from one ``measures.totals_sampler``, built once per call.
+Moivre's identity) over the mixing belief by one fixed Gauss-Legendre rule
+per cell (``measures.belief_expectation``). Monte Carlo draws every worker
+substream from one ``measures.totals_sampler``, built once per call, and
+pools them in ``core.pooled_mean``.
 """
 
 import math
@@ -24,7 +26,7 @@ from .core import (
     MarginEstimate,
     MeanField,
     check_population,
-    split_budget,
+    pooled_mean,
 )
 from . import meanfield
 from .measures import (
@@ -75,20 +77,11 @@ def binom_abs_moments(n, ps):
 
 def binom_mean_abs_deviation(n, ps):
     """E|K - n p| for K ~ Binomial(n, p), where the closed form reduces to
-    2 (n - m) p P(m), m = floor(np); the coupling moment E|S - N Z| is this
-    deviation about the conditional mean."""
+    2 (n - m) p P(m), m = floor(np); the coupling moment E|S - N Z| is
+    twice this deviation about the conditional mean, summed over the
+    belief's transport atoms in ``commonbelief.margin_bound_check``."""
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     return _binom_abs_dev(n, ps, n * ps)
-
-
-def belief_coupling_moment(belief, n, rel_tol=1e-8):
-    """E|S - N Z| under the belief mixture: the mean absolute deviation of
-    the vote sum about its conditional mean, integrated over the belief."""
-
-    def f(zs):
-        return 2.0 * binom_mean_abs_deviation(n, (1.0 + zs) / 2.0)
-
-    return float(belief_expectation(belief, f, rel_tol=rel_tol))
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,7 @@ class MixtureLaw:
         if power != 1:
             raise ValueError(f"a mixture law gives power 1 or 2, got {power}")
         return float(belief_expectation(
-            self.belief, lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0)))
+            self.belief, lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0), n))
 
     def prob_of(self, s):
         """P(S = s), from the closed-form law of the yes-count at k and n - k."""
@@ -150,32 +143,16 @@ def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):
 def expected_margin_mc(model, n, samples, rng, workers=1):
     """Monte Carlo E|S| from ``samples`` independent outcomes.
 
-    The model's sampler is built once; the sample budget is split over
-    ``workers`` disjoint substreams of ``rng``, drawn in turn from it, and
-    merged by pooled mean/variance, so a rerun with the same
-    (seed, stream_id, workers) reproduces the estimate bit for bit.
+    The model's sampler is built once and read by ``core.pooled_mean``
+    over ``workers`` disjoint substreams of ``rng``, so a rerun with the
+    same (seed, stream_id, workers) reproduces the estimate bit for bit.
     """
     if samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
     draw = totals_sampler(model, n)
-    count = 0
-    total = 0.0
-    total_sq = 0.0
-    for k, chunk in enumerate(split_budget(samples, workers)):
-        if chunk == 0:
-            continue
-        margins = np.abs(draw(rng.worker(k), chunk)).astype(float)
-        count += chunk
-        total += float(margins.sum())
-        total_sq += float((margins**2).sum())
-    mean = total / count
-    var = max(total_sq - count * mean**2, 0.0) / (count - 1)
-    return MarginEstimate(
-        value=mean,
-        std_error=math.sqrt(var / count),
-        method=MONTE_CARLO,
-        samples=count,
-    )
+    mean, std_error, count = pooled_mean(
+        lambda gen, size: np.abs(draw(gen, size)).astype(float), samples, rng, workers)
+    return MarginEstimate(value=mean, std_error=std_error, method=MONTE_CARLO, samples=count)
 
 
 def expected_margin_asymptotic(model, n):

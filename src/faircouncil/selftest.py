@@ -136,6 +136,17 @@ def _check_moments_vs_bruteforce():
     return True, ""
 
 
+def _check_uniform_closed_form():
+    # K is uniform on 0..n under Uniform(1), so E|S| is (n + 1)/2 for odd n
+    # and n (n + 2)/(2 (n + 1)) for even n
+    for n in (2, 101, 1000, 10**7):
+        closed = (n + 1) / 2 if n % 2 else n * (n + 2) / (2 * (n + 1))
+        exact = estimators.expected_margin_exact(CommonBelief(UniformSymmetric(1.0)), n).value
+        if abs(exact - closed) > 1e-12 * closed:
+            return False, f"Uniform(1) n={n}: E|S| = {exact!r}, closed form {closed!r}"
+    return True, ""
+
+
 def _check_fixed_point():
     prev = 0.0
     for j in (1.01, 1.1, 1.5, 2.0, 5.0, 10.0):
@@ -236,6 +247,7 @@ CHECKS = (
     ("measures.sampler_inverse_cdf", _check_sampler_inverse_cdf),
     ("weights.sign_identity", _check_sign_identity),
     ("estimators.bruteforce_margins", _check_moments_vs_bruteforce),
+    ("estimators.uniform_closed_form", _check_uniform_closed_form),
     ("meanfield.fixed_point", _check_fixed_point),
     ("weights.deficit_routes", _check_deficit_routes),
     ("commonbelief.bounds", _check_belief_bounds),

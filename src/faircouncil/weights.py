@@ -33,8 +33,8 @@ from .core import (
     EXACT,
     MONTE_CARLO,
     check_population,
+    pooled_mean,
     signs,
-    split_budget,
 )
 from .measures import _enumeration_law, totals_sampler, validate_model
 
@@ -157,15 +157,13 @@ def _as_weights(weights, council):
 
 def state_margin(state, samples=100_000, rng=None, workers=1,
                  max_population=estimators.DEFAULT_POPULATION_BUDGET):
-    """E|S| for one state; exact route preferred, Monte Carlo fallback."""
-    try:
-        return estimators.expected_margin_exact(state.model, state.population,
-                                                max_population=max_population)
-    except ValueError:
-        if rng is None:
-            raise
+    """E|S| for one state: exact within the population budget; beyond it
+    Monte Carlo when given a random stream, else the exact route's error."""
+    if state.population > max_population and rng is not None:
         return estimators.expected_margin_mc(state.model, state.population,
                                              samples, rng, workers=workers)
+    return estimators.expected_margin_exact(state.model, state.population,
+                                            max_population=max_population)
 
 
 def state_second_moment(state):
@@ -274,40 +272,35 @@ def _delta_exact(council, weights):
 
 
 def _council_trials(council, w, trials, rng, workers):
-    """The one Monte Carlo loop over councils. Each state's sampler is built
-    once; the trials are partitioned over worker substreams, each drawing
-    the states in council order, so fixed (seed, workers) reproduces every
+    """The council's Monte Carlo trials, pooled by ``core.pooled_mean``.
+    Each state's sampler is built once; every worker substream draws the
+    states in council order, so fixed (seed, workers) reproduces every
     number. Returns the deficit estimate, the number of trials whose council
     decision disagrees with the popular vote, the summed popular margin
     |P| and the per-state counts of delegate yes votes."""
     samplers = [totals_sampler(s.model, s.population) for s in council.states]
     threshold = (2.0 * council.quota - 1.0) * float(w.sum())
-    count = disagree = 0
-    sq_sum = sq_sumsq = margin_sum = 0.0
+    disagree = 0
+    margin_sum = 0.0
     yes_counts = np.zeros(council.size, dtype=np.int64)
-    for k, chunk in enumerate(split_budget(trials, workers)):
-        if chunk == 0:
-            continue
-        gen = rng.worker(k)
-        popular = np.zeros(chunk)
-        council_sum = np.zeros(chunk)
+
+    def gaps_squared(gen, size):
+        nonlocal disagree, margin_sum
+        popular = np.zeros(size)
+        council_sum = np.zeros(size)
         for i, draw in enumerate(samplers):
-            totals = draw(gen, chunk)
+            totals = draw(gen, size)
             xi = signs(totals)
             yes_counts[i] += int(np.count_nonzero(xi > 0))
             popular += totals
             council_sum += w[i] * xi
-        gap_sq = (popular - council_sum) ** 2
-        sq_sum += float(gap_sq.sum())
-        sq_sumsq += float((gap_sq**2).sum())
         accept = council_sum > 0.0 if council.quota == 0.5 else council_sum >= threshold
         disagree += int(np.count_nonzero(accept != (popular > 0.0)))
         margin_sum += float(np.abs(popular).sum())
-        count += chunk
-    mean = sq_sum / count
-    var = max(sq_sumsq - count * mean**2, 0.0) / max(count - 1, 1)
-    estimate = DeltaEstimate(value=mean, method=MONTE_CARLO,
-                             std_error=math.sqrt(var / count), trials=count)
+        return (popular - council_sum) ** 2
+
+    mean, std_error, count = pooled_mean(gaps_squared, trials, rng, workers)
+    estimate = DeltaEstimate(value=mean, method=MONTE_CARLO, std_error=std_error, trials=count)
     return estimate, disagree, margin_sum, yes_counts
 
 

@@ -784,3 +784,21 @@ def test_any_config_exits_zero_one_or_two(cmd, cfg):
             code = main([cmd, "--config", path])
     event(f"exit {code}")
     assert code in (0, 1, 2)
+
+
+def test_distribution_sandwich_gap_of_uniform_one(capsys):
+    # E|S|/N = (N + 2)/(2 (N + 1)) at even N, so the gap to mu_bar = 1/2 is 1/(2 (N + 1))
+    code, out, err = run(["distribution", "--belief", "uniform", "--a", "1", "--N", "100"], capsys)
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    assert row["sandwich_gap"] == "0.0049504950495"
+
+
+def test_weights_beyond_the_budget_needs_two_trials(tmp_path, capsys):
+    # the state beyond the exact-route budget takes Monte Carlo, which needs a standard error
+    text = json.dumps({"states": [{"name": "big", "population": 10**7 + 1,
+                                   "model": {"type": "independent"}}]})
+    code, out, err = run(["weights", "--config", _council_file(tmp_path, text), "--trials", "1"],
+                         capsys)
+    assert code == 1
+    assert "--trials must be >= 2" in err

@@ -296,3 +296,35 @@ def test_grid_transport_atoms_match_the_per_cell_loop(nodes):
     mids, masses = _belief_atoms(belief)
     ref_mids, ref_masses = _grid_atoms_by_cell(belief, max(1, 8192 // (nodes.size - 1)))
     assert np.array_equal(mids, ref_mids) and np.array_equal(masses, ref_masses)
+
+
+def _coupling_reference(belief, n, points=8):
+    """E|S - N Z|/N with one Gauss-Legendre panel between successive kinks
+    z = 2m/N - 1 of the kernel 2 E|K - Np|, and between the belief's nodes."""
+    from scipy.special import roots_legendre
+
+    from faircouncil.estimators import binom_mean_abs_deviation
+
+    if isinstance(belief, UniformSymmetric):
+        nodes, dens = np.array([-belief.a, belief.a]), np.full(2, 0.5 / belief.a)
+    else:
+        nodes, dens = np.array(belief.nodes), np.array(belief.densities)
+    kinks = 2.0 * np.arange(n + 1) / n - 1.0
+    edges = np.union1d(nodes, kinks[(kinks > nodes[0]) & (kinks < nodes[-1])])
+    x, w = roots_legendre(points)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    z = (lo + (hi - lo) * (x + 1.0) / 2.0).ravel()
+    weights = (w * (hi - lo) / 2.0).ravel() * np.interp(z, nodes, dens)
+    return float(np.sum(weights * 2.0 * binom_mean_abs_deviation(n, (1.0 + z) / 2.0))) / n
+
+
+@pytest.mark.parametrize("n", [1, 10, 101, 1000, 3163, 10**4])
+@pytest.mark.parametrize("belief", [
+    UniformSymmetric(1.0),
+    UniformSymmetric(0.1),
+    GriddedDensity(np.linspace(-1.0, 1.0, 11), [0.5] * 11),
+    GriddedDensity(np.linspace(-1.0, 1.0, 201), 1.0 - np.abs(np.linspace(-1.0, 1.0, 201))),
+], ids=["uniform_1", "uniform_0.1", "flat_11", "hat_201"])
+def test_coupling_gap_matches_a_panel_per_kink(belief, n):
+    gap = margin_bound_check(belief, n).coupling_gap
+    assert gap == pytest.approx(_coupling_reference(belief, n), rel=5e-6, abs=0)

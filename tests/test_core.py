@@ -14,6 +14,7 @@ from faircouncil import (
     margin,
     q_margin,
 )
+from faircouncil.core import pooled_mean
 
 spins = st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=120)
 
@@ -146,3 +147,27 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
+
+
+@pytest.mark.parametrize("trials, workers, sizes", [
+    (10, 1, [10]), (10, 3, [4, 3, 3]), (3, 7, [1, 1, 1]), (1, 2, [1]),
+])
+def test_pooled_mean_partitions_the_trials_and_pools_them(trials, workers, sizes):
+    drawn = []
+
+    def values(gen, size):
+        drawn.append(gen.normal(size=size))
+        return drawn[-1]
+
+    mean, std_error, count = pooled_mean(values, trials, RngStream(3), workers)
+    assert [x.size for x in drawn] == sizes and count == trials
+    pooled = np.concatenate(drawn)
+    assert np.array_equal(drawn[0], RngStream(3).worker(0).normal(size=sizes[0]))
+    assert mean == pytest.approx(pooled.mean(), rel=1e-12, abs=1e-15)
+    if trials > 1:
+        assert std_error == pytest.approx(pooled.std(ddof=1) / np.sqrt(trials), rel=1e-9)
+
+
+def test_pooled_mean_needs_a_worker():
+    with pytest.raises(ValueError, match="at least one worker"):
+        pooled_mean(lambda gen, size: np.zeros(size), 10, RngStream(0), 0)

@@ -288,3 +288,28 @@ def test_state_law_matches_enumeration(name, n):
 def test_mixture_law_gives_powers_one_and_two_only():
     with pytest.raises(ValueError, match="power 1 or 2"):
         state_law(Independent(), 5).abs_moment(power=3)
+
+
+def _uniform_one_margin(n):
+    """E|S| of n voters under Uniform(1), where K is uniform on 0..n:
+    (n + 1)/2 for odd n and n (n + 2)/(2 (n + 1)) for even n."""
+    return (n + 1) / 2 if n % 2 else n * (n + 2) / (2 * (n + 1))
+
+
+@pytest.mark.parametrize("n", [10, 1001, 10**7, 10**9, 10**9 + 1])
+def test_uniform_one_margin_matches_its_closed_form(n):
+    value = state_law(CommonBelief(UniformSymmetric(1.0)), n).abs_moment()
+    assert value == pytest.approx(_uniform_one_margin(n), rel=1e-15, abs=0)
+
+
+def _hat(nodes):
+    x = np.linspace(-1.0, 1.0, nodes)
+    return GriddedDensity(x, 1.0 - np.abs(x))
+
+
+@pytest.mark.parametrize("n", [10**3, 10**6])
+def test_fine_grid_margin_equals_the_coarse_grid_of_the_same_density(n):
+    # both grids describe the hat density 1 - |z| exactly
+    fine = state_law(CommonBelief(_hat(2001)), n).abs_moment()
+    coarse = state_law(CommonBelief(_hat(201)), n).abs_moment()
+    assert fine == pytest.approx(coarse, rel=1e-14, abs=0)

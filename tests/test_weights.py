@@ -431,3 +431,15 @@ class TestMomentTable:
             assert row.scale == scale
             assert row.weights == tuple(float(v) for v in scaled)
             assert row.delta_semi_exact == delta(MIXED, scaled).value
+
+
+def test_state_margin_falls_back_only_beyond_the_budget(monkeypatch):
+    def failing(model, n, max_population):
+        raise ValueError("numerical failure")
+
+    monkeypatch.setattr(estimators, "expected_margin_exact", failing)
+    with pytest.raises(ValueError, match="numerical failure"):
+        state_margin(StateSpec("a", 5, Independent()), rng=RngStream(1))
+    beyond = state_margin(StateSpec("a", 11, Independent()), samples=1000, rng=RngStream(1),
+                          max_population=10)
+    assert beyond.method == "monte_carlo" and beyond.samples == 1000
