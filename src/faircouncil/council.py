@@ -23,7 +23,9 @@ def council_decision(delegate_votes, weights, quota=0.5):
 
     Acceptance requires sum(w_v xi_v) >= (2q - 1) * sum(w_v); the default
     quota 0.5 denotes the simple-majority limit, where the weighted sum
-    must be strictly positive (a tied council rejects).
+    must be strictly positive (a tied council rejects). There the yes and
+    no sides' weights are summed apart, each in council order, and
+    compared: rounding can tip the sign of sum(w_v xi_v) at an exact tie.
     """
     xi = np.asarray(delegate_votes, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -31,10 +33,15 @@ def council_decision(delegate_votes, weights, quota=0.5):
         raise ValueError(f"{xi.size} delegate votes but {w.size} weights")
     if not 0.0 < quota < 1.0:
         raise ValueError(f"quota must lie in (0, 1), got {quota}")
-    value = float(np.dot(w, xi))
     if quota == 0.5:
-        return value > 0.0
-    return value >= (2.0 * quota - 1.0) * float(w.sum())
+        yes = no = 0.0
+        for wv, x in zip(w.tolist(), xi.tolist()):
+            if x > 0.0:
+                yes += wv * x
+            elif x < 0.0:
+                no -= wv * x
+        return yes > no
+    return float(np.dot(w, xi)) >= (2.0 * quota - 1.0) * float(w.sum())
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# The Boost binomial ufuncs that scipy.stats.binom wraps, called without its
-# argument checks or the scipy.stats import; callers pass valid (k, n, p).
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
 from .core import (
     ASYMPTOTIC,
@@ -31,6 +28,8 @@ from .core import (
 from . import meanfield
 from .measures import (
     _abs_moment,
+    _binom_cdf,
+    _binom_pmf,
     _common_belief_law,
     belief_expectation,
     magnetization_pmf,

@@ -28,18 +28,16 @@ P(K = k) among the C(N, k) outcomes with k yes-votes. ``totals_sampler``
 builds a total-spin sampler once per (model, N); Monte Carlo callers draw
 every worker substream's chunk from it. A mean-field total is the inverse
 cdf of its law, read from a guide table of at most 2^16 int32 entries over
-equal buckets of [0, 1); only the buckets that a cdf value splits are
-searched, and the power-of-two bucket count keeps every draw identical to
-``Generator.choice``.
+equal buckets of [0, 1); only the buckets that two or more cdf values split
+are searched, and the power-of-two bucket count keeps every draw identical
+to ``Generator.choice``.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_legendre
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 
 from .core import (
     ENUMERATION_CAP,
@@ -56,6 +54,31 @@ QUAD_NODES = 64
 #: No rule has this many nodes: the benchmark's tracer counts a Gauss-Legendre
 #: rule this large as a cap hit, so it stays above ``QUAD_NODES``.
 QUAD_MAX_NODES = 4096
+
+
+@cache
+def _special():
+    """``scipy.special``, imported at the first call. Its import costs about
+    as much start-up as numpy's, and the Monte Carlo routes of models with
+    no mean-field law never read it; every scipy name the library uses is
+    read through here."""
+    import scipy.special
+
+    return scipy.special
+
+
+# The Boost binomial ufuncs that scipy.stats.binom wraps, called without its
+# argument checks or the scipy.stats import; callers pass valid (k, n, p).
+def _binom_cdf(k, n, p):
+    return _special()._ufuncs._binom_cdf(k, n, p)
+
+
+def _binom_pmf(k, n, p):
+    return _special()._ufuncs._binom_pmf(k, n, p)
+
+
+def _binom_sf(k, n, p):
+    return _special()._ufuncs._binom_sf(k, n, p)
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +218,9 @@ def validate_model(model):
 # expectations over belief measures
 # --------------------------------------------------------------------------
 
-_leggauss = lru_cache(maxsize=None)(roots_legendre)
+@lru_cache(maxsize=None)
+def _leggauss(count):
+    return _special().roots_legendre(count)
 
 
 def _half_line_cells(belief, cut=math.inf):
@@ -284,6 +309,7 @@ def belief_to_field(zeta):
 
 
 def _log_binom(n, k):
+    gammaln = _special().gammaln
     k = np.asarray(k, dtype=float)
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
@@ -291,7 +317,7 @@ def _log_binom(n, k):
 def _meanfield_log_weights(coupling, n):
     """Log of binomial(n, k) * exp(J s^2 / (2(n-1))) over k = 0..n; the
     log-binomial comes from one gammaln pass, lg[n] - lg[k] - lg[n - k]."""
-    lg = gammaln(np.arange(n + 1) + 1.0)
+    lg = _special().gammaln(np.arange(n + 1) + 1.0)
     s = 2.0 * np.arange(n + 1) - n
     return lg[n] - lg - lg[::-1] + coupling * s**2 / (2.0 * (n - 1))
 
@@ -465,7 +491,7 @@ def count_law(model, n):
     if belief is not None:
         return _common_belief_law(belief, n, k)
     logw = _meanfield_log_weights(model.coupling, n)
-    return np.exp(logw - logsumexp(logw))
+    return np.exp(logw - _special().logsumexp(logw))
 
 
 @lru_cache(maxsize=256)
@@ -548,12 +574,14 @@ GUIDE_MAX_BUCKETS = 2**16
 
 def _guide_table(cdf, peak):
     """Guide table (Chen and Asau 1974; Devroye 1986, III.2.4) over an
-    ascending cdf that ends at 1: ``table[j]`` is the index that
-    ``cdf.searchsorted(u, side="right")`` returns for every u in the bucket
-    [j/m, (j+1)/m), or -1 where some cdf value lies in (j/m, (j+1)/m] and
-    the index varies. m is 16/peak rounded up to a power of two, so that
-    the atom of largest mass ``peak`` spans about 16 buckets, and capped
-    at ``GUIDE_MAX_BUCKETS``; peak <= 1 keeps m >= 16.
+    ascending cdf that ends at 1: ``table[j]`` is #(cdf <= j/m), the count
+    below the bucket [j/m, (j+1)/m), or -1 where two or more cdf values lie
+    in (j/m, (j+1)/m]. For every u in a bucket with at most one such value,
+    ``cdf.searchsorted(u, side="right")`` is ``table[j] + (cdf[table[j]] <=
+    u)``: an empty bucket's next cdf value lies above it, so the comparison
+    adds 0. m is 16/peak rounded up to a power of two, so that the atom of
+    largest mass ``peak`` spans about 16 buckets, and capped at
+    ``GUIDE_MAX_BUCKETS``; peak <= 1 keeps m >= 16.
 
     With m a power of two, u * m and cdf * m are exact for doubles in
     [0, 1], so every bucket edge compares exactly. ``bincount`` of
@@ -562,7 +590,7 @@ def _guide_table(cdf, peak):
     buckets = min(2 ** math.ceil(math.log2(16 / peak)), GUIDE_MAX_BUCKETS)
     counts = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
     table = np.cumsum(counts[:buckets], dtype=np.int32)
-    table[counts[1 : buckets + 1] > 0] = -1
+    table[counts[1 : buckets + 1] > 1] = -1
     return buckets, table
 
 
@@ -576,11 +604,12 @@ def totals_sampler(model, n):
     outside the window add exactly, so it equals that of the full law
     wherever it rises. Each draw takes one u = ``gen.random()`` and returns
     the spin at ``cdf.searchsorted(u, side="right")``, as ``gen.choice``
-    does: the guide table gives that index in one lookup, and only a u in
-    a bucket that some cdf value splits is searched. u is a multiple of
-    2^-53 and the bucket count a power of two, so the bucket of u is exact
-    and the draws are bit-identical to ``gen.choice``. The table is int32
-    and capped at ``GUIDE_MAX_BUCKETS`` = 2^16 entries, 256 KB per sampler.
+    does: the guide table gives that index in one lookup and one
+    comparison, and only a u in a bucket that two or more cdf values split
+    is searched. u is a multiple of 2^-53 and the bucket count a power of
+    two, so the bucket of u is exact and the draws are bit-identical to
+    ``gen.choice``. The table is int32 and capped at ``GUIDE_MAX_BUCKETS``
+    = 2^16 entries, 256 KB per sampler.
     """
     validate_model(model)
     check_population(n)
@@ -604,6 +633,8 @@ def totals_sampler(model, n):
     def draw(gen, size):
         u = gen.random(size)
         idx = table[(u * buckets).astype(np.intp)]
+        # at idx = -1 the comparison reads cdf[-1] = 1 > u and adds 0
+        idx += cdf[idx] <= u
         ambiguous = idx < 0
         if ambiguous.any():
             idx[ambiguous] = cdf.searchsorted(u[ambiguous], side="right")

@@ -288,13 +288,20 @@ def _council_trials(council, w, trials, rng, workers):
         nonlocal disagree, margin_sum
         popular = np.zeros(size)
         council_sum = np.zeros(size)
+        # the yes and no sides' weights, summed apart in council order as
+        # council.council_decision sums them: at quota 1/2 a tie rejects,
+        # and rounding can tip the sign of council_sum at an exact tie
+        yes_sum, no_sum = np.zeros(size), np.zeros(size)
         for i, draw in enumerate(samplers):
             totals = draw(gen, size)
             xi = signs(totals)
             yes_counts[i] += int(np.count_nonzero(xi > 0))
             popular += totals
-            council_sum += w[i] * xi
-        accept = council_sum > 0.0 if council.quota == 0.5 else council_sum >= threshold
+            votes = w[i] * xi
+            council_sum += votes
+            yes_sum += np.maximum(votes, 0.0)
+            no_sum -= np.minimum(votes, 0.0)
+        accept = yes_sum > no_sum if council.quota == 0.5 else council_sum >= threshold
         disagree += int(np.count_nonzero(accept != (popular > 0.0)))
         margin_sum += float(np.abs(popular).sum())
         return (popular - council_sum) ** 2

@@ -1,7 +1,9 @@
 """Council aggregation, simulation, and weight-rule comparison."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from faircouncil import (
@@ -214,3 +216,40 @@ class TestOneMonteCarloLoop:
         two = delta(MIXED, w, mode="monte_carlo", trials=2, rng=RngStream(51), workers=3)
         assert two.trials == 2
         assert two == simulate(MIXED, w, 2, RngStream(51), workers=3).delta
+
+
+class TestTiedCouncil:
+    """At quota 1/2 a tied council rejects, also where rounding would tip
+    the sign of sum(w_v xi_v): the two sides' weights are compared."""
+
+    @pytest.mark.parametrize("weight", [0.1, 1.0 / 3.0, 2.67989723487])
+    @pytest.mark.parametrize("size", [2, 6, 10])
+    def test_equal_weights_reject_in_any_vote_order(self, weight, size):
+        for yes in itertools.combinations(range(size), size // 2):
+            votes = [1 if v in yes else -1 for v in range(size)]
+            assert council_decision(votes, [weight] * size) is False
+            # one more yes vote accepts
+            votes[votes.index(-1)] = 1
+            assert council_decision(votes, [weight] * size) is True
+
+    def test_tie_of_tenths_rejects(self):
+        assert council_decision([1, 1, 1, -1, -1, -1], [0.1] * 6) is False
+
+    def test_disagreement_matches_integer_count_reference(self):
+        # equal weights: the council accepts exactly when more delegates say
+        # yes than no, an integer comparison
+        council = CouncilSpec([
+            ("a", 3, Independent()), ("b", 4, Independent()), ("c", 7, Independent()),
+            ("d", 2, MeanField(1.5)), ("e", 9, MeanField(0.5)),
+            ("f", 6, CommonBelief(UniformSymmetric(0.6))),
+        ])
+        trials = 20_000
+        result = simulate(council, [0.1] * council.size, trials, RngStream(31))
+        gen = RngStream(31).worker(0)
+        totals = [_totals_with_generator(s.model, s.population, trials, gen)
+                  for s in council.states]
+        yes_votes = sum((signs(t) > 0).astype(int) for t in totals)
+        accept = 2 * yes_votes > council.size
+        disagree = int(np.count_nonzero(accept != (sum(totals) > 0)))
+        assert np.count_nonzero(2 * yes_votes == council.size) > trials // 10
+        assert result.disagreement_rate == disagree / trials

@@ -436,6 +436,22 @@ class TestGuideTable:
         drawn = totals_sampler(MeanField(1.0), 224_431)(RngStream(3).generator(), 50_000)
         assert np.array_equal(drawn, spins[cdf.searchsorted(u, side="right")])
 
+    @pytest.mark.parametrize("n, searched", [(224_431, 0.05), (10**6, 0.2)])
+    def test_single_value_buckets_draw_what_choice_draws(self, n, searched):
+        # at J = 1 the 2^16 cap binds; a bucket that one cdf value splits
+        # takes one comparison, and only those that two or more split are
+        # searched (36% and 89% of the buckets when every split one was)
+        _, mass, cdf = _window_cdf(1.0, n)
+        buckets, table = _guide_table(cdf, mass.max())
+        assert buckets == GUIDE_MAX_BUCKETS
+        assert (table < 0).mean() < searched
+        pmf = magnetization_pmf(1.0, n)
+        gen_a, gen_b = RngStream(48, n).generator(), RngStream(48, n).generator()
+        expected = gen_a.choice(pmf.support, p=pmf.probs, size=200_000)
+        drawn = totals_sampler(MeanField(1.0), n)(gen_b, 200_000)
+        assert np.array_equal(drawn, expected)
+        assert np.array_equal(gen_a.random(8), gen_b.random(8))
+
     @pytest.mark.parametrize("coupling, n", [(0.0, 2), (0.5, 1001), (1.0, 224_431),
                                              (1.5, 10**6), (4.0, 10**7)])
     def test_table_is_small_int32(self, coupling, n):
