@@ -2,8 +2,9 @@
 
 Every operation in the library is exposed as a subcommand with
 machine-readable output (CSV or JSON lines, numbers at 12 significant
-digits). Runs are deterministic: the seed and worker count are part of the
-resolved configuration, which is echoed to a separate metadata file along
+digits), which each subcommand returns and ``main`` alone writes. Runs are
+deterministic: the seed and worker count are part of the resolved
+configuration, echoed as one JSON line to a separate metadata file along
 with the only timestamp, so rerunning a command with the same
 configuration reproduces the data output byte for byte.
 
@@ -214,13 +215,16 @@ def _numbers(value):
 
 
 def _council_weights(args, cfg, council):
-    """Weights from --weights over the config's 'weights' list, or None for
-    the optimal ones; returned with their source."""
+    """(weights, source, table) from --weights over the config's 'weights'
+    list; given neither, the moment table's margins and the table."""
     flag = None if args.weights is None else args.weights.split(",")
     w = _setting(flag, cfg, "weights", _numbers)
-    if w is not None and len(w) != council.size:
+    if w is None:
+        table = council_moments(council)
+        return [float(m) for m in table.margins], "optimal", table
+    if len(w) != council.size:
         raise UsageError(f"expected {council.size} weights, one per state, got {len(w)}")
-    return w, "optimal" if w is None else "explicit" if flag else "config"
+    return w, "explicit" if flag else "config", None
 
 
 def parse_grid(text):
@@ -324,25 +328,22 @@ def _render_rows(fieldnames, rows, fmt):
 
 def _emit(args, resolved, fieldnames, rows, summary_lines=()):
     data = _render_rows(fieldnames, rows, args.format)
-    metadata = {
+    summary = "".join(line + "\n" for line in summary_lines)
+    meta = json.dumps({
         "subcommand": resolved["subcommand"],
         "version": __version__,
         "resolved_config": resolved,
         "written_at_unix": time.time(),
-    }
+    }, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(data)
         with open(args.out + ".meta.json", "w") as fh:
-            json.dump(metadata, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        for line in summary_lines:
-            print(line)
+            fh.write(meta)
+        sys.stdout.write(summary)
     else:
         sys.stdout.write(data)
-        for line in summary_lines:
-            print(line, file=sys.stderr)
-        print(json.dumps(metadata, sort_keys=True), file=sys.stderr)
+        sys.stderr.write(summary + meta)
 
 
 def _load_config(args):
@@ -402,8 +403,7 @@ def _cmd_weights(args, cfg, resolved):
         for s, m, raw, norm in zip(council.states, wv.margins, wv.values, wv.normalized)
     ]
     fields = ["state", "population", "model", "expected_margin", "weight_raw", "weight_normalized"]
-    _emit(args, resolved, fields, rows)
-    return 0
+    return fields, rows
 
 
 def _cmd_margin(args, cfg, resolved):
@@ -427,8 +427,7 @@ def _cmd_margin(args, cfg, resolved):
         "std_error": est.std_error,
         "samples": est.samples,
     }]
-    _emit(args, resolved, ["model", "N", "method", "value", "std_error", "samples"], rows)
-    return 0
+    return ["model", "N", "method", "value", "std_error", "samples"], rows
 
 
 def _cmd_delta(args, cfg, resolved):
@@ -436,14 +435,10 @@ def _cmd_delta(args, cfg, resolved):
     mode = _setting(args.mode, cfg, "mode", _name(EXACT, SEMI_EXACT, MONTE_CARLO), SEMI_EXACT)
     if mode == MONTE_CARLO:
         _require_trials(args, 2)
-    w, weight_source = _council_weights(args, cfg, council)
-    if w is None and mode == SEMI_EXACT:
-        table = council_moments(council)
-        w = [float(m) for m in table.margins]
+    w, weight_source, table = _council_weights(args, cfg, council)
+    if table is not None and mode == SEMI_EXACT:
         est = table.deficit(w)
     else:
-        if w is None:
-            w = list(optimal_weights(council).values)
         est = delta_op(council, w, mode=mode, trials=args.trials,
                        rng=RngStream(args.seed), workers=args.workers)
     resolved.update({
@@ -454,8 +449,7 @@ def _cmd_delta(args, cfg, resolved):
     })
     rows = [{"mode": est.method, "value": est.value, "std_error": est.std_error,
              "trials": est.trials}]
-    _emit(args, resolved, ["mode", "value", "std_error", "trials"], rows)
-    return 0
+    return ["mode", "value", "std_error", "trials"], rows
 
 
 def _cmd_scaling(args, cfg, resolved):
@@ -487,8 +481,7 @@ def _cmd_scaling(args, cfg, resolved):
         "log_prefactor": _round12(fit.log_prefactor),
         "r_squared": _round12(fit.r_squared),
     }
-    _emit(args, resolved, ["N", "expected_margin"], rows, summary)
-    return 0
+    return ["N", "expected_margin"], rows, summary
 
 
 def _cmd_solve_cj(args, cfg, resolved):
@@ -503,8 +496,7 @@ def _cmd_solve_cj(args, cfg, resolved):
         f"residual = {fmt12(residual)}",
         f"iterations = {iterations}",
     ]
-    _emit(args, resolved, ["J", "C", "residual", "iterations"], rows, summary)
-    return 0
+    return ["J", "C", "residual", "iterations"], rows, summary
 
 
 def _cmd_regime(args, cfg, resolved):
@@ -532,8 +524,7 @@ def _cmd_regime(args, cfg, resolved):
         f"decay_exponent = {fmt12(report.decay_exponent)}",
         f"weight_exponent = {fmt12(report.weight_exponent) if report.weight_exponent is not None else 'undetermined'}",
     ]
-    _emit(args, resolved, ["N", "a_N", "mu_bar"], rows, summary)
-    return 0
+    return ["N", "a_N", "mu_bar"], rows, summary
 
 
 def _cmd_distribution(args, cfg, resolved):
@@ -564,15 +555,13 @@ def _cmd_distribution(args, cfg, resolved):
             "sandwich_gap": bound_report.sandwich_gap,
             "bound": bound_report.bound,
         })
-    _emit(args, resolved, ["N", "wasserstein_distance", "sandwich_gap", "bound"], rows)
-    return 0
+    return ["N", "wasserstein_distance", "sandwich_gap", "bound"], rows
 
 
 def _cmd_council_sim(args, cfg, resolved):
     _require_trials(args, 1)
     council = parse_council(cfg, args.quota)
-    w, weight_source = _council_weights(args, cfg, council)
-    w = list(optimal_weights(council).values) if w is None else w
+    w, weight_source, _ = _council_weights(args, cfg, council)
     resolved.update({
         "weights": w,
         "weight_source": weight_source,
@@ -593,8 +582,7 @@ def _cmd_council_sim(args, cfg, resolved):
     for state, rate in zip(council.states, result.per_state_yes_rates):
         rows.append({"metric": "yes_rate", "state": state.name, "value": rate,
                      "std_error": 0.0})
-    _emit(args, resolved, ["metric", "state", "value", "std_error"], rows)
-    return 0
+    return ["metric", "state", "value", "std_error"], rows
 
 
 def _cmd_compare_rules(args, cfg, resolved):
@@ -616,8 +604,7 @@ def _cmd_compare_rules(args, cfg, resolved):
         })
     fields = ["rule", "scale", "weights", "delta_semi_exact", "delta_mc",
               "delta_mc_std_error", "disagreement_rate", "disagreement_std_error"]
-    _emit(args, resolved, fields, rows_out)
-    return 0
+    return fields, rows_out
 
 
 def _cmd_selftest():
@@ -679,7 +666,9 @@ def main(argv=None):
         if args.subcommand == "selftest":
             return _cmd_selftest()  # reads no config and no flags
         cfg = _load_config(args)
-        return _COMMANDS[args.subcommand](args, cfg, _resolve_common(args, cfg, args.subcommand))
+        resolved = _resolve_common(args, cfg, args.subcommand)
+        _emit(args, resolved, *_COMMANDS[args.subcommand](args, cfg, resolved))
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

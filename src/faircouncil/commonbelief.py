@@ -59,10 +59,11 @@ class StraffinFamily:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("prefactor c must be > 0")
-        if self.beta < 0.0:
-            raise ValueError("decay exponent beta must be >= 0")
+        # written to fail on NaN, which compares false
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"prefactor c must be finite and > 0, got {self.c}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"decay exponent beta must be finite and >= 0, got {self.beta}")
 
     def half_width(self, n):
         return min(1.0, self.c * float(n) ** (-self.beta))

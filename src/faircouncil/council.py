@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import majority_sign
+from .core import as_outcome, majority_sign
 from .weights import DeltaEstimate, _as_weights, _council_trials, council_moments
 
 
@@ -19,27 +19,32 @@ def state_delegate_vote(state_outcome):
 
 
 def council_decision(delegate_votes, weights, quota=0.5):
-    """Accept/reject under weighted voting with a quota.
+    """Accept/reject under weighted voting with a quota, from delegate votes
+    of exactly -1 or +1 and finite weights >= 0.
 
     Acceptance requires sum(w_v xi_v) >= (2q - 1) * sum(w_v); the default
     quota 0.5 denotes the simple-majority limit, where the weighted sum
     must be strictly positive (a tied council rejects). There the yes and
     no sides' weights are summed apart, each in council order, and
-    compared: rounding can tip the sign of sum(w_v xi_v) at an exact tie.
+    compared, so equal weights, and whole-number weights whose sums stay
+    below 2^53, decide an exact tie exactly. Other weights whose two side
+    sums round apart can still accept a tie.
     """
-    xi = np.asarray(delegate_votes, dtype=float)
+    xi = as_outcome(delegate_votes).astype(float)
     w = np.asarray(weights, dtype=float)
     if xi.shape != w.shape:
         raise ValueError(f"{xi.size} delegate votes but {w.size} weights")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+        raise ValueError("council weights must be finite and >= 0")
     if not 0.0 < quota < 1.0:
         raise ValueError(f"quota must lie in (0, 1), got {quota}")
     if quota == 0.5:
         yes = no = 0.0
         for wv, x in zip(w.tolist(), xi.tolist()):
             if x > 0.0:
-                yes += wv * x
-            elif x < 0.0:
-                no -= wv * x
+                yes += wv
+            else:
+                no += wv
         return yes > no
     return float(np.dot(w, xi)) >= (2.0 * quota - 1.0) * float(w.sum())
 
@@ -119,13 +124,11 @@ def _rule_direction(council, table, rule):
         return np.sqrt(pops)
     if rule == "proportional_population":
         return pops
-    if rule == "equal":
-        return np.ones_like(pops)
-    raise ValueError(f"unknown weight rule {rule!r}")
+    return np.ones_like(pops)  # "equal"
 
 
-def compare_weight_rules(council, trials, rng, workers=1, rules=RULES):
-    """Deficit and disagreement for the classic weight rules.
+def compare_weight_rules(council, trials, rng, workers=1):
+    """Deficit and disagreement for each of the classic weight ``RULES``.
 
     Each rule fixes only a direction; the deficit is scale-sensitive even
     though the induced voting system is not, so every rule is first scaled
@@ -133,7 +136,7 @@ def compare_weight_rules(council, trials, rng, workers=1, rules=RULES):
     """
     table = council_moments(council)
     rows = []
-    for rule in rules:
+    for rule in RULES:
         direction = _rule_direction(council, table, rule)
         scale = table.ray_scale(direction)
         scaled = direction * scale

@@ -45,8 +45,6 @@ from .measures import (
 #: window: O(sqrt(N)) points, O(N^(3/4)) at J = 1.
 DEFAULT_POPULATION_BUDGET = 10**7
 
-ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
 
 def _binom_abs_dev(n, p, t):
     """E|K - t| for K ~ Binomial(n, p), vectorized over p and t.
@@ -171,15 +169,14 @@ def expected_margin_asymptotic(model, n):
     if isinstance(model, MeanField):
         return meanfield.asymptotic_weight_meanfield(model.coupling, n)
     mean_abs = _abs_moment(mixing_belief(model, n), 1)
-    value = n * mean_abs if mean_abs > 0.0 else ROOT_2_OVER_PI * math.sqrt(n)
+    value = n * mean_abs if mean_abs > 0.0 else meanfield.ROOT_2_OVER_PI * math.sqrt(n)
     return MarginEstimate(value=value, std_error=0.0, method=ASYMPTOTIC, samples=0)
 
 
-def expected_margin(model, n, method=EXACT, samples=100_000, rng=None, workers=1,
-                    max_population=DEFAULT_POPULATION_BUDGET):
+def expected_margin(model, n, method=EXACT, samples=100_000, rng=None, workers=1):
     """Dispatch to one of the three estimator routes."""
     if method == EXACT:
-        return expected_margin_exact(model, n, max_population=max_population)
+        return expected_margin_exact(model, n)
     if method == MONTE_CARLO:
         if rng is None:
             raise ValueError("Monte Carlo estimation needs an RngStream")

@@ -17,8 +17,9 @@ enumeration shows the deficit still decreasing there, and a single-voter
 state makes it obvious (w = E|S| = 1 gives zero deficit, w = 1/2 does not).
 
 The expansion needs three numbers per state: ``council_moments`` reads them
-from one ``estimators.state_law`` per state into a ``MomentTable``, on which
-every semi-exact route evaluates its closed form.
+from one ``estimators.state_law`` per state into a ``MomentTable``, whose
+margins are the optimal weights and on which every semi-exact route
+evaluates its closed form.
 The exact route enumerates the product of the states' yes-count laws, reading
 one ``count_law`` per state.
 """
@@ -98,25 +99,23 @@ class CouncilSpec:
 @dataclass(frozen=True)
 class WeightVector:
     """Raw fair weights (one per state, aligned with the council order) and
-    a max-normalized copy for display. The induced voting system is
-    invariant under positive scaling, but the deficit is minimized at the
-    raw values only."""
+    their max-normalized copy, computed for display. The induced voting
+    system is invariant under positive scaling, but the deficit is minimized
+    at the raw values only."""
 
     values: tuple
     normalized: tuple
     margins: tuple = ()
 
-    def __init__(self, values, normalized=None, margins=()):
+    def __init__(self, values, margins=()):
         values = tuple(float(v) for v in values)
         if not values:
             raise ValueError("weight vector must be non-empty")
         if any(not math.isfinite(v) or v < 0.0 for v in values):
             raise ValueError("weights must be finite and >= 0")
-        if normalized is None:
-            top = max(values)
-            normalized = tuple(v / top for v in values) if top > 0 else values
+        top = max(values)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "normalized", tuple(float(v) for v in normalized))
+        object.__setattr__(self, "normalized", tuple(v / top for v in values) if top > 0 else values)
         object.__setattr__(self, "margins", tuple(margins))
 
 
@@ -236,7 +235,8 @@ def optimal_weights(council, samples=100_000, rng=None, workers=1,
     The deficit is quadratic in each weight with vertex at E|S_v| (see the
     module docstring), so these weights minimize it exactly whenever at
     most one state has an even population; residual tie correlations shift
-    the optimum by O(P(tie)^2) otherwise.
+    the optimum by O(P(tie)^2) otherwise. Each margin is a ``state_margin``:
+    Monte Carlo beyond ``max_population`` when given ``rng``.
     """
     margins = tuple(
         state_margin(s, samples=samples, rng=rng, workers=workers,
@@ -379,10 +379,10 @@ class MinimizerReport:
                      if not (c.not_below if isinstance(c, PerturbationCheck) else c.within_tol))
 
 
-def verify_minimizer(council, w_star, step, mode=SEMI_EXACT, vertex_tol=1e-9):
+def verify_minimizer(council, w_star, step, mode=SEMI_EXACT):
     """Check that the deficit does not drop under coordinate perturbations
     of the given weights, and that its per-coordinate quadratic vertex sits
-    at the state's expected margin.
+    within 1e-9 of the state's expected margin.
 
     Violations are reported, not raised: councils with two or more
     even-population states have tie correlations that legitimately shift
@@ -409,8 +409,7 @@ def verify_minimizer(council, w_star, step, mode=SEMI_EXACT, vertex_tol=1e-9):
             continue
         vertex = w0[i] - step * (d_plus - d_minus) / (2.0 * curvature)
         target = state_margin(state).value
-        vertices.append(VertexCheck(state.name, vertex, target,
-                                    abs(vertex - target) <= vertex_tol))
+        vertices.append(VertexCheck(state.name, vertex, target, abs(vertex - target) <= 1e-9))
     return MinimizerReport(
         delta_at_weights=base,
         perturbations=tuple(perturbations),

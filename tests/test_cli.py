@@ -26,6 +26,7 @@ from faircouncil import (
     cli,
     optimal_weights,
 )
+from faircouncil.weights import council_moments
 from faircouncil.cli import (
     _COMMANDS,
     main,
@@ -243,6 +244,18 @@ class TestRegimeCommand:
         assert code == 0
         assert "verdict = linear" in err
         assert out.splitlines()[0] == "N,a_N,mu_bar"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--c", "--beta"])
+    @pytest.mark.parametrize("cmd", ["regime", "scaling"])
+    def test_non_finite_family_exits_one(self, cmd, flag, value, capsys):
+        args = [cmd, f"{flag}={value}", "--grid", "256:1024:x2"]
+        args += ["--model", "straffin"] if cmd == "scaling" else []
+        args += ["--beta", "0.25"] if flag == "--c" else []
+        code, out, err = run(args, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "must be finite" in err
+        assert out == ""
 
 
 class TestDistributionCommand:
@@ -470,6 +483,52 @@ class TestOptimalDelta:
         assert run(["delta", "--config", path, "--out", str(explicit),
                     "--weights", ",".join(repr(v) for v in w)], capsys)[0] == 0
         assert implicit.read_bytes() == explicit.read_bytes()
+
+
+class TestOptimalWeightsEveryRoute:
+    """Without weights, every deficit mode and the council simulation read
+    the optimal weights, the margins of the council's moment table."""
+
+    COUNCIL = {"states": [
+        {"name": "i", "population": 5, "model": {"type": "independent"}},
+        {"name": "m", "population": 6, "model": {"type": "mean_field", "coupling": 1.5}},
+        {"name": "u", "population": 7,
+         "model": {"type": "common_belief", "belief": {"type": "uniform", "a": 0.6}}},
+    ]}
+
+    @pytest.mark.parametrize("cmd", [
+        ["delta", "--mode", "exact"],
+        ["delta", "--mode", "semi-exact"],
+        ["delta", "--mode", "monte-carlo", "--trials", "500"],
+        ["council-sim", "--trials", "500"],
+    ], ids=["delta-exact", "delta-semi-exact", "delta-monte-carlo", "council-sim"])
+    def test_matches_explicit_table_margins(self, cmd, tmp_path, capsys):
+        path = _council_file(tmp_path, json.dumps(self.COUNCIL))
+        w = [float(m) for m in council_moments(parse_council(self.COUNCIL)).margins]
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        assert run([*cmd, "--config", path, "--out", str(implicit)], capsys)[0] == 0
+        assert run([*cmd, "--config", path, "--out", str(explicit),
+                    "--weights", ",".join(repr(v) for v in w)], capsys)[0] == 0
+        meta = json.loads((tmp_path / "implicit.csv.meta.json").read_text())
+        assert meta["resolved_config"]["weights"] == w
+        assert meta["resolved_config"]["weight_source"] == "optimal"
+        assert implicit.read_bytes() == explicit.read_bytes()
+
+    def test_metadata_file_is_one_json_line(self, tmp_path, capsys):
+        path = _council_file(tmp_path, json.dumps(self.COUNCIL))
+        out_path = tmp_path / "d.csv"
+        code, out, err = run(["delta", "--config", path, "--out", str(out_path)], capsys)
+        assert code == 0 and out == "" and err == ""
+        text = (tmp_path / "d.csv.meta.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        meta = json.loads(text)
+        assert text == json.dumps(meta, sort_keys=True) + "\n"
+        code, _, err = run(["delta", "--config", path], capsys)
+        stderr_meta = json.loads(err)
+        for m in (meta, stderr_meta):
+            del m["written_at_unix"]
+        stderr_meta["resolved_config"]["out"] = str(out_path)
+        assert stderr_meta == meta
 
 
 #: One council with every model type, a single mean-field voter, and even and

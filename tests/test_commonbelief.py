@@ -100,6 +100,12 @@ class TestStraffinFamily:
         with pytest.raises(ValueError):
             StraffinFamily(c=1.0, beta=-0.2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["c", "beta"])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            StraffinFamily(**{"c": 1.0, "beta": 0.5, field: value})
+
 
 class TestClassifyRegime:
     GRID = [2**e for e in range(8, 15)]

@@ -66,6 +66,26 @@ class TestCouncilDecision:
             council_decision([1], [1.0], quota=0.0)
 
 
+class TestCouncilDecisionInput:
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf],
+                                         [-0.5, 1.0]], ids=["nan", "inf", "-inf", "negative"])
+    @pytest.mark.parametrize("quota", [0.5, 0.6])
+    def test_weights_must_be_finite_and_nonnegative(self, weights, quota):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            council_decision([1, -1], weights, quota=quota)
+
+    @pytest.mark.parametrize("votes", [[0, -1], [2, -1], [1, 0]])
+    def test_votes_must_be_spins(self, votes):
+        with pytest.raises(ValueError, match="exactly -1 or \\+1"):
+            council_decision(votes, [1.0, 1.5])
+
+    def test_whole_number_weights_decide_a_tie_exactly(self):
+        # the side sums are exact below 2^53, so a tie is seen as one
+        big = float(2**51)
+        assert council_decision([1, 1, -1], [big + 1.0, 3.0, big + 4.0]) is False
+        assert council_decision([1, -1, 1, -1], [2.0, 7.0, 5.0, 0.0]) is False
+
+
 class TestSimulate:
     def test_matches_exact_deficit(self):
         wv = optimal_weights(IND135)

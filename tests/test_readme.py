@@ -1,0 +1,51 @@
+"""The README's examples stay true: its library block runs and prints what
+it claims, and every command-line example, flag and subcommand it names
+parses with the current parser."""
+
+import pathlib
+import re
+import shlex
+
+import pytest
+
+from faircouncil import cli
+
+README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+#: (language, body) of every fenced block
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
+
+
+def test_library_block_runs_and_prints_its_numbers():
+    (code,) = [body for lang, body in BLOCKS if lang == "python"]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    fc = namespace["fc"]
+    claimed = re.search(r"^fc\.solve_cj\(1\.5\)\s+# ([0-9]+\.[0-9]+)", code, re.M).group(1)
+    decimals = len(claimed.split(".")[1])
+    assert f"{fc.solve_cj(1.5):.{decimals}f}" == claimed
+    assert namespace["fit"].exponent == pytest.approx(1.0, abs=0.05)
+
+
+CLI_EXAMPLES = [line for lang, body in BLOCKS if not lang for line in body.splitlines()
+                if line.startswith("faircouncil ") and not line.startswith("faircouncil SUBCOMMAND")]
+
+
+def test_cli_examples_are_found():
+    assert len(CLI_EXAMPLES) >= 6
+
+
+@pytest.mark.parametrize("line", CLI_EXAMPLES)
+def test_cli_example_parses(line):
+    cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_subcommand_table_names_every_subcommand():
+    named = re.findall(r"^\| `([a-z][a-z-]*)` \|", README, re.M)
+    assert set(named) == set(cli._COMMANDS)
+
+
+def test_flag_table_names_only_parser_flags():
+    flags = {f for row in re.findall(r"^\| `--.*", README, re.M)
+             for f in re.findall(r"`(--[A-Za-z]+)`", row)}
+    known = {s for action in cli.build_parser()._actions for s in action.option_strings}
+    assert flags and flags <= known
