@@ -336,10 +336,12 @@ def _emit(args, resolved, fieldnames, rows, summary_lines=()):
         "written_at_unix": time.time(),
     }, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(data)
-        with open(args.out + ".meta.json", "w") as fh:
-            fh.write(meta)
+        for path, text in ((args.out, data), (args.out + ".meta.json", meta)):
+            try:
+                with open(path, "w", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {path!r}: {exc}") from exc
         sys.stdout.write(summary)
     else:
         sys.stdout.write(data)
@@ -386,10 +388,7 @@ def _require_trials(args, least):
 
 def _cmd_weights(args, cfg, resolved):
     council = parse_council(cfg, args.quota)
-    if any(s.population > estimators.DEFAULT_POPULATION_BUDGET for s in council.states):
-        _require_trials(args, 2)  # those states fall back to Monte Carlo
-    rng = RngStream(args.seed)
-    wv = optimal_weights(council, samples=args.trials, rng=rng, workers=args.workers)
+    wv = optimal_weights(council)
     resolved["council"] = council_to_config(council)
     rows = [
         {

@@ -38,12 +38,11 @@ from .measures import (
     validate_model,
 )
 
-#: The exact routes' documented domain; beyond it they refuse by default, and
-#: ``state_margin`` given a random stream falls back to Monte Carlo. The
-#: Monte Carlo fallback depends on this value. Within it the binomial routes
-#: cost O(1) per success probability, and the mean-field law its mass
-#: window: O(sqrt(N)) points, O(N^(3/4)) at J = 1.
-DEFAULT_POPULATION_BUDGET = 10**7
+#: The exact routes' documented domain, read by ``check_exact_route`` alone;
+#: beyond it they refuse. Within it the binomial routes cost O(1) per success
+#: probability, and the mean-field law its mass window: O(sqrt(N)) points,
+#: O(N^(3/4)) at J = 1.
+DEFAULT_POPULATION_BUDGET = 10**9
 
 
 def _binom_abs_dev(n, p, t):
@@ -118,21 +117,21 @@ def state_law(model, n):
     return MixtureLaw(belief, n)
 
 
-def check_exact_route(model, n, max_population=DEFAULT_POPULATION_BUDGET):
+def check_exact_route(model, n):
     """Raise ValueError unless the exact routes take (model, n): a valid
-    model, a whole n >= 1 and n within the population budget."""
+    model, a whole n >= 1 and n within ``DEFAULT_POPULATION_BUDGET``."""
     validate_model(model)
     check_population(n)
-    if n > max_population:
+    if n > DEFAULT_POPULATION_BUDGET:
         raise ValueError(
-            f"population {n} exceeds the exact-route budget {max_population}; "
+            f"population {n} exceeds the exact-route budget {DEFAULT_POPULATION_BUDGET}; "
             "use the Monte Carlo or asymptotic estimator"
         )
 
 
-def expected_margin_exact(model, n, max_population=DEFAULT_POPULATION_BUDGET):
+def expected_margin_exact(model, n):
     """Exact E|S| for the model at population n, from its ``state_law``."""
-    check_exact_route(model, n, max_population)
+    check_exact_route(model, n)
     value = state_law(model, n).abs_moment()
     return MarginEstimate(value=value, std_error=0.0, method=EXACT, samples=0)
 

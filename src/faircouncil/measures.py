@@ -424,10 +424,12 @@ def _cdf_drop(k, m, p0, p1):
 
 #: A cdf drop across a cell of width a cancels to about 1e-16/a relative, so
 #: a cell narrower than this in z takes a fixed ``NARROW_CELL_NODES``-point
-#: Gauss-Legendre rule; both are calibrated against mpmath up to N = 1e7
-#: (README, "Numerical notes").
+#: Gauss-Legendre rule on each piece of at most ``NARROW_PIECE_SDS`` binomial
+#: standard deviations 1/sqrt(N); all three are calibrated against mpmath up
+#: to N = 1e9 (README, "Numerical notes").
 NARROW_CELL = 1e-3
 NARROW_CELL_NODES = 16
+NARROW_PIECE_SDS = 4.0
 
 
 def _cell_count_mass(k, n, lo, hi, r0, r1):
@@ -437,9 +439,15 @@ def _cell_count_mass(k, n, lo, hi, r0, r1):
     are binomial cdf drops (DLMF 8.17): the row integrates to
     [F_(n+1)(k; p0) - F_(n+1)(k; p1)]/(n + 1), and p times it to
     (k + 1)/((n + 1)(n + 2)) [F_(n+2)(k + 1; p0) - F_(n+2)(k + 1; p1)].
-    A cell narrower than ``NARROW_CELL`` sums the pmf over its rule instead."""
+    A cell narrower than ``NARROW_CELL`` sums the pmf over its rule instead,
+    cut into equal pieces where it spans more than ``NARROW_PIECE_SDS``
+    standard deviations (never at N <= 1e7)."""
     if hi - lo < NARROW_CELL:
-        zs, ws = _cell_rule([(lo, hi, r0, r1)], NARROW_CELL_NODES)
+        # one piece keeps the cell's own edges and densities, bit for bit
+        edges = np.linspace(lo, hi, math.ceil((hi - lo) * math.sqrt(n) / NARROW_PIECE_SDS) + 1)
+        rho = np.interp(edges, (lo, hi), (r0, r1))
+        pieces = np.column_stack([edges[:-1], edges[1:], rho[:-1], rho[1:]])
+        zs, ws = _cell_rule(pieces, NARROW_CELL_NODES)
         return sum(w * _binom_pmf(k, n, (1.0 + z) / 2.0) for z, w in zip(zs, ws))
     p0, p1 = (1.0 + lo) / 2.0, (1.0 + hi) / 2.0
     beta = (r1 - r0) / (p1 - p0)

@@ -139,7 +139,7 @@ def _check_moments_vs_bruteforce():
 def _check_uniform_closed_form():
     # K is uniform on 0..n under Uniform(1), so E|S| is (n + 1)/2 for odd n
     # and n (n + 2)/(2 (n + 1)) for even n
-    for n in (2, 101, 1000, 10**7):
+    for n in (2, 101, 1000, 10**7, 10**9):
         closed = (n + 1) / 2 if n % 2 else n * (n + 2) / (2 * (n + 1))
         exact = estimators.expected_margin_exact(CommonBelief(UniformSymmetric(1.0)), n).value
         if abs(exact - closed) > 1e-12 * closed:

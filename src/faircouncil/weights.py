@@ -154,28 +154,28 @@ def _as_weights(weights, council):
 # --------------------------------------------------------------------------
 
 
-def state_margin(state, samples=100_000, rng=None, workers=1,
-                 max_population=estimators.DEFAULT_POPULATION_BUDGET):
-    """E|S| for one state: exact within the population budget; beyond it
-    Monte Carlo when given a random stream, else the exact route's error."""
-    if state.population > max_population and rng is not None:
-        return estimators.expected_margin_mc(state.model, state.population,
-                                             samples, rng, workers=workers)
-    return estimators.expected_margin_exact(state.model, state.population,
-                                            max_population=max_population)
+def state_margin(state):
+    """Exact E|S| for one state; beyond the exact-route budget it raises."""
+    return estimators.expected_margin_exact(state.model, state.population)
+
+
+def _checked_law(state):
+    """The state's ``estimators.state_law``, once the exact route takes it."""
+    estimators.check_exact_route(state.model, state.population)
+    return estimators.state_law(state.model, state.population)
 
 
 def state_second_moment(state):
-    """Exact E(S^2), read from the state's ``estimators.state_law``."""
-    return estimators.state_law(state.model, state.population).abs_moment(power=2)
+    """Exact E(S^2), read from the state's checked law."""
+    return _checked_law(state).abs_moment(power=2)
 
 
 def state_tie_probability(state):
-    """P(S = 0), read from the state's law; zero for odd populations."""
-    n = state.population
-    if n % 2:
-        return 0.0
-    return estimators.state_law(state.model, n).prob_of(0)
+    """P(S = 0), read from the state's law; zero for odd populations, once
+    the exact route takes the state."""
+    model, n = state.model, state.population
+    estimators.check_exact_route(model, n)
+    return 0.0 if n % 2 else estimators.state_law(model, n).prob_of(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +210,7 @@ class MomentTable:
 
 def _state_moments(state):
     """(E|S|, E(S^2), P(S = 0)) of one state, all three from one law."""
-    model, n = state.model, state.population
-    estimators.check_exact_route(model, n)
-    law = estimators.state_law(model, n)
+    law = _checked_law(state)
     return law.abs_moment(), law.abs_moment(power=2), law.prob_of(0)
 
 
@@ -228,21 +226,16 @@ def council_moments(council):
 # --------------------------------------------------------------------------
 
 
-def optimal_weights(council, samples=100_000, rng=None, workers=1,
-                    max_population=estimators.DEFAULT_POPULATION_BUDGET):
-    """Mean-square-optimal weights: each state's expected margin E|S|.
+def optimal_weights(council):
+    """Mean-square-optimal weights: each state's exact expected margin E|S|.
 
     The deficit is quadratic in each weight with vertex at E|S_v| (see the
     module docstring), so these weights minimize it exactly whenever at
     most one state has an even population; residual tie correlations shift
-    the optimum by O(P(tie)^2) otherwise. Each margin is a ``state_margin``:
-    Monte Carlo beyond ``max_population`` when given ``rng``.
+    the optimum by O(P(tie)^2) otherwise. A state beyond the exact-route
+    budget raises as in ``state_margin``.
     """
-    margins = tuple(
-        state_margin(s, samples=samples, rng=rng, workers=workers,
-                     max_population=max_population)
-        for s in council.states
-    )
+    margins = tuple(state_margin(s) for s in council.states)
     return WeightVector(values=[m.value for m in margins], margins=margins)
 
 

@@ -24,6 +24,7 @@ from faircouncil import (
     PointMassZero,
     UniformSymmetric,
     cli,
+    estimators,
     optimal_weights,
 )
 from faircouncil.weights import council_moments
@@ -160,7 +161,7 @@ class TestExitCodes:
 
     def test_budget_exceeded(self, capsys):
         code, out, err = run(
-            ["margin", "--model", "independent", "--N", "100000000"], capsys)
+            ["margin", "--model", "independent", "--N", "1000000001"], capsys)
         assert code == 2
 
     def test_bad_config_json(self, tmp_path, capsys):
@@ -436,13 +437,13 @@ class TestGridAndTrialsChecks:
         assert "grid must be a string" in err
         assert "Traceback" not in err
 
-    def test_trials_checked_where_weights_fall_back_to_monte_carlo(self, tmp_path, capsys):
-        big = {"states": [{"name": "a", "population": 20_000_001,
+    def test_weights_beyond_the_budget_exits_two_whatever_the_trials(self, tmp_path, capsys):
+        big = {"states": [{"name": "a", "population": 1_000_000_001,
                            "model": {"type": "independent"}}]}
         path = _council_file(tmp_path, json.dumps(big))
         code, out, err = run(["weights", "--config", path, "--trials", "1"], capsys)
-        assert code == 1
-        assert "--trials must be >= 2" in err
+        assert code == 2
+        assert "exceeds the exact-route budget" in err
 
     def test_trials_unused_within_the_budget(self, union_config, capsys):
         assert run(["weights", "--config", union_config, "--trials", "1"], capsys)[0] == 0
@@ -853,11 +854,74 @@ def test_distribution_sandwich_gap_of_uniform_one(capsys):
     assert row["sandwich_gap"] == "0.0049504950495"
 
 
-def test_weights_beyond_the_budget_needs_two_trials(tmp_path, capsys):
-    # the state beyond the exact-route budget takes Monte Carlo, which needs a standard error
-    text = json.dumps({"states": [{"name": "big", "population": 10**7 + 1,
+def test_weights_at_the_budget_is_exact_with_one_trial(tmp_path, capsys):
+    n = estimators.DEFAULT_POPULATION_BUDGET
+    text = json.dumps({"states": [{"name": "big", "population": n,
                                    "model": {"type": "independent"}}]})
     code, out, err = run(["weights", "--config", _council_file(tmp_path, text), "--trials", "1"],
                          capsys)
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    assert row["expected_margin"] == cli.fmt12(estimators.state_law(Independent(), n).abs_moment())
+
+
+# --------------------------------------------------------------------------
+# councils at the scale of the Council of the EU, and beyond the budget
+# --------------------------------------------------------------------------
+
+EU_SCALE = {"states": [
+    {"name": "malta", "population": 500_000, "model": {"type": "independent"}},
+    {"name": "france", "population": 68_400_000,
+     "model": {"type": "mean_field", "coupling": 0.5}},
+    {"name": "germany", "population": 84_400_000, "model": {"type": "independent"}},
+    {"name": "poland", "population": 36_800_000,
+     "model": {"type": "common_belief", "belief": {"type": "uniform", "a": 0.02}}},
+]}
+
+
+class TestBeyondTheFormerBudget:
+    """States from 5e5 to 8.44e7 citizens take the exact route everywhere."""
+
+    def test_weights_are_the_exact_margins(self, tmp_path, capsys):
+        code, out, _ = run(["weights", "--config", _council_file(tmp_path, json.dumps(EU_SCALE)),
+                            "--format", "jsonl"], capsys)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        for row, state in zip(rows, parse_council(EU_SCALE).states):
+            exact = estimators.state_law(state.model, state.population).abs_moment()
+            assert row["expected_margin"] == cli._round12(exact), state.name
+
+    @pytest.mark.parametrize("cmd", [["delta"], ["compare-rules", "--trials", "200"]],
+                             ids=["delta", "compare-rules"])
+    def test_council_commands_run(self, cmd, tmp_path, capsys):
+        code, out, err = run([*cmd, "--config", _council_file(tmp_path, json.dumps(EU_SCALE))],
+                             capsys)
+        assert code == 0, err
+        meta = json.loads(err.splitlines()[-1])
+        if cmd == ["delta"]:
+            margins = [estimators.state_law(s.model, s.population).abs_moment()
+                       for s in parse_council(EU_SCALE).states]
+            assert meta["resolved_config"]["weights"] == margins
+
+    @pytest.mark.parametrize("cmd", [["weights"], ["delta"], ["compare-rules", "--trials", "10"],
+                                     ["council-sim", "--trials", "10"]],
+                             ids=["weights", "delta", "compare-rules", "council-sim"])
+    def test_a_state_beyond_the_budget_exits_two(self, cmd, tmp_path, capsys):
+        big = {"states": [*EU_SCALE["states"][:1], {
+            "name": "big", "population": estimators.DEFAULT_POPULATION_BUDGET + 1,
+            "model": {"type": "independent"}}]}
+        code, out, err = run([*cmd, "--config", _council_file(tmp_path, json.dumps(big))], capsys)
+        assert code == 2
+        assert f"population {estimators.DEFAULT_POPULATION_BUDGET + 1} exceeds the exact-route budget" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suffix", ["", ".meta.json"])
+def test_unwritable_out_is_a_usage_error(suffix, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    # a directory where the file should go makes open() fail
+    os.mkdir(str(out) + suffix)
+    code, _, err = run(["solve-cj", "--J", "1.5", "--out", str(out)], capsys)
     assert code == 1
-    assert "--trials must be >= 2" in err
+    assert err.startswith(f"error: cannot write {str(out) + suffix!r}")
+    assert "Traceback" not in err

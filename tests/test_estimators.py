@@ -19,7 +19,12 @@ from faircouncil import (
     expected_margin_exact,
     expected_margin_mc,
 )
-from faircouncil.estimators import binom_abs_moments, binom_mean_abs_deviation, state_law
+from faircouncil.estimators import (
+    DEFAULT_POPULATION_BUDGET,
+    binom_abs_moments,
+    binom_mean_abs_deviation,
+    state_law,
+)
 from faircouncil.measures import pmf_exact
 from faircouncil.meanfield import CriticalCouplingError, asymptotic_weight_meanfield
 
@@ -86,7 +91,7 @@ class TestExact:
 
     def test_population_budget(self):
         with pytest.raises(ValueError):
-            expected_margin_exact(Independent(), 10**7 + 1)
+            expected_margin_exact(Independent(), DEFAULT_POPULATION_BUDGET + 1)
         with pytest.raises(ValueError):
             expected_margin_exact(Independent(), 0)
 

@@ -191,3 +191,69 @@ def test_narrow_uniform_tie(a):
     n = 10**7
     value = state_tie_probability(StateSpec("u", n, CommonBelief(UniformSymmetric(a))))
     assert _relative_error(value, uniform_tie(a, n)) <= 1e-12
+
+
+# beyond 1e7 a cell narrower than 1e-3 can span more than 4 standard
+# deviations 1/sqrt(N) (9e-4 spans 28 at N = 1e9) and is cut into pieces
+@pytest.mark.parametrize("n", [10**8, 84 * 10**6 + 2, 10**9])
+@pytest.mark.parametrize("a", [3e-4, 9e-4])
+def test_narrow_uniform_tie_up_to_the_budget(a, n):
+    value = state_tie_probability(StateSpec("u", n, CommonBelief(UniformSymmetric(a))))
+    assert _relative_error(value, uniform_tie(a, n)) <= 1e-12
+
+
+def uniform_margin(a, n):
+    """E|S| under the uniform belief on [-a, a] at even n = 2m. G(p) =
+    E|K - m| has G(1/2) = m C(n, m)/2^n, G'(1/2) = 0 and G''(p) =
+    2n(n-1) C(n-2, m-1) (p(1-p))^(m-1), so with p = (1 + z)/2 the average
+    of 2 G over z swaps into one integral over y of (1 - y^2)^(m-1)."""
+    m = n // 2
+    with mp.workdps(DIGITS):
+        a = mp.mpf(a)
+        scale = n * (n - 1) * mp.binomial(n - 2, m - 1) / mp.mpf(4) ** (m - 1)
+        integral = mp.quad(lambda y: (1 - y * y) ** (m - 1) * (a - y) ** 2 / 2, [0, a])
+        return n * mp.binomial(n, m) / mp.mpf(2) ** n + scale * integral / a
+
+
+@pytest.mark.parametrize("n", [10**8, 84 * 10**6 + 2, 10**9])
+@pytest.mark.parametrize("a", [3e-4, 9e-4])
+def test_narrow_uniform_margin_up_to_the_budget(a, n):
+    value = expected_margin_exact(CommonBelief(UniformSymmetric(a)), n).value
+    assert _relative_error(value, uniform_margin(a, n)) <= 1e-12
+
+
+def mean_field_field_moments(coupling, n):
+    """(E S^2, P(S=0)) of the mean-field law through the Hubbard-Stratonovich
+    field: exp(J s^2 / (2(n-1))) is a Gaussian average of exp(h s) with
+    variance J/(n-1), so given h the voters are independent with mean
+    tanh(h), and the field has the weight exp(g(h)), g(h) = -(n-1) h^2/(2J)
+    + n log cosh(h), up to 2^n. Then E S^2 = n + n(n-1) E tanh(h)^2, and
+    P(S=0) = C(n, n/2) 2^-n sqrt(2 pi J/(n-1)) / (integral of exp(g)). The
+    integral runs over h >= 0 (g is even), cut at the peak plus multiples
+    of its width, n^(-1/4) at J = 1."""
+    with mp.workdps(DIGITS):
+        a = mp.mpf(n - 1) / coupling
+        g = lambda h: -a * h * h / 2 + n * mp.log(mp.cosh(h))
+        peak = mp.findroot(lambda h: n * mp.tanh(h) - a * h, coupling) if coupling > 1 else mp.mpf(0)
+        curvature = a - n / mp.cosh(peak) ** 2
+        width = 1 / mp.sqrt(curvature) if curvature > mp.sqrt(n) else mp.mpf(n) ** -0.25
+        cuts = sorted({max(mp.mpf(0), peak + k * width) for k in range(-40, 41, 4)})
+        top = g(peak)
+        mass = mp.quad(lambda h: mp.exp(g(h) - top), cuts)
+        second = mp.quad(lambda h: mp.exp(g(h) - top) * mp.tanh(h) ** 2, cuts)
+        tie = (mp.binomial(n, n // 2) / mp.mpf(2) ** n * mp.sqrt(2 * mp.pi / a)
+               / (2 * mp.exp(top) * mass))
+        return n + n * (n - 1) * second / mass, tie
+
+
+# J = 1 at N = 1e9 is left out: its law's window takes about 2 s and 0.9 GB
+@pytest.mark.parametrize("coupling, n", [(0.5, 10**9), (1.5, 10**9), (1.0, 10**8)])
+def test_mean_field_moments_through_the_field(coupling, n):
+    state = StateSpec("mf", n, MeanField(coupling))
+    second, tie = mean_field_field_moments(coupling, n)
+    assert _relative_error(state_second_moment(state), second) <= 1e-12
+    value = state_tie_probability(state)
+    if float(tie) == 0.0:  # beyond the double range: the tie of J > 1
+        assert value == 0.0
+    else:
+        assert _relative_error(value, tie) <= 1e-12

@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from faircouncil import cli
+from faircouncil import cli, estimators
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 #: (language, body) of every fenced block
@@ -49,3 +49,8 @@ def test_flag_table_names_only_parser_flags():
              for f in re.findall(r"`(--[A-Za-z]+)`", row)}
     known = {s for action in cli.build_parser()._actions for s in action.option_strings}
     assert flags and flags <= known
+
+
+def test_budget_sentence_names_the_budget():
+    stated = re.search(r"Exact routes are budgeted at\s+`N <= ([0-9e.]+)`", README).group(1)
+    assert float(stated) == estimators.DEFAULT_POPULATION_BUDGET

@@ -120,14 +120,14 @@ class TestOptimalWeights:
         wv = optimal_weights(IND135)
         assert [m.method for m in wv.margins] == ["exact"] * 3
 
-    def test_monte_carlo_fallback_beyond_budget(self):
-        council = CouncilSpec([("big", 100, Independent()), ("small", 3, Independent())])
-        with pytest.raises(ValueError):
-            optimal_weights(council, max_population=10)
-        wv = optimal_weights(council, max_population=10, rng=RngStream(31),
-                             samples=50_000, workers=2)
-        assert [m.method for m in wv.margins] == ["monte_carlo", "exact"]
-        assert wv.values[0] == pytest.approx(7.958923738717435, abs=4 * wv.margins[0].std_error)
+    def test_beyond_budget_raises(self):
+        big = StateSpec("big", estimators.DEFAULT_POPULATION_BUDGET + 1, Independent())
+        with pytest.raises(ValueError) as expected:
+            state_margin(big)
+        with pytest.raises(ValueError) as got:
+            optimal_weights(CouncilSpec([("small", 3, Independent()), big]))
+        assert str(got.value) == str(expected.value)
+        assert "exceeds the exact-route budget" in str(got.value)
 
 
 class TestStateMoments:
@@ -433,13 +433,26 @@ class TestMomentTable:
             assert row.delta_semi_exact == delta(MIXED, scaled).value
 
 
-def test_state_margin_falls_back_only_beyond_the_budget(monkeypatch):
-    def failing(model, n, max_population):
-        raise ValueError("numerical failure")
+def test_state_margin_is_exact_up_to_the_budget():
+    n = estimators.DEFAULT_POPULATION_BUDGET
+    margin = state_margin(StateSpec("a", n, Independent()))
+    assert margin.method == "exact" and margin.samples == 0
+    assert margin.value == estimators.state_law(Independent(), n).abs_moment()
+    with pytest.raises(ValueError, match="exceeds the exact-route budget"):
+        state_margin(StateSpec("a", n + 1, Independent()))
 
-    monkeypatch.setattr(estimators, "expected_margin_exact", failing)
-    with pytest.raises(ValueError, match="numerical failure"):
-        state_margin(StateSpec("a", 5, Independent()), rng=RngStream(1))
-    beyond = state_margin(StateSpec("a", 11, Independent()), samples=1000, rng=RngStream(1),
-                          max_population=10)
-    assert beyond.method == "monte_carlo" and beyond.samples == 1000
+
+@pytest.mark.parametrize("extra", [1, 2])
+@pytest.mark.parametrize("model", [Independent(), MeanField(0.5),
+                                   CommonBelief(UniformSymmetric(9e-4))])
+def test_every_moment_reader_checks_the_budget(model, extra):
+    # the even population checks the tie's law, the odd one its 0.0 shortcut
+    big = StateSpec("big", estimators.DEFAULT_POPULATION_BUDGET + extra, model)
+    with pytest.raises(ValueError) as expected:
+        state_margin(big)
+    readers = (state_second_moment, state_tie_probability,
+               lambda s: council_moments(CouncilSpec([("a", 3, Independent()), s])))
+    for reader in readers:
+        with pytest.raises(ValueError) as got:
+            reader(big)
+        assert str(got.value) == str(expected.value)
