@@ -14,6 +14,7 @@ error, 3 invariant violation found by ``selftest``.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -607,7 +608,7 @@ def _cmd_compare_rules(args, cfg, resolved):
 
 
 def _cmd_selftest():
-    results = run_selftest(report=print)
+    results = run_selftest()
     failures = [r for r in results if not r.ok]
     print(f"{len(results) - len(failures)}/{len(results)} invariant checks passed")
     return 3 if failures else 0
@@ -627,7 +628,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process; callers only read it."""
     p = _Parser(prog="faircouncil",
                 description="Fair council weights under voter correlation")
     p.add_argument("subcommand", choices=_COMMANDS, metavar="SUBCOMMAND",

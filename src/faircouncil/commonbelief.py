@@ -21,6 +21,7 @@ from .measures import (
     UniformSymmetric,
     _abs_moment,
     _atom_arrays,
+    binom_mean_abs_deviation,
     count_law,
     validate_belief,
 )
@@ -178,7 +179,7 @@ def margin_bound_check(belief, n, mode="exact", samples=100_000, rng=None, worke
     else:
         raise ValueError(f"unknown mode {mode!r}")
     zs, ws = _belief_atoms(belief)
-    coupled = float(ws @ (2.0 * estimators.binom_mean_abs_deviation(n, (1.0 + zs) / 2.0)))
+    coupled = float(ws @ (2.0 * binom_mean_abs_deviation(n, (1.0 + zs) / 2.0)))
     mean_abs = mu_bar(belief)
     return MarginBoundReport(
         n=n,

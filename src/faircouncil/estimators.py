@@ -1,18 +1,14 @@
 """Expected-margin estimators: exact, Monte Carlo, and asymptotic routes.
 
 The expected margin E|S|, S the total spin of a state, is the quantity that
-fixes the state's fair council weight. Every exact per-state moment reads
-the one law that ``state_law`` picks: the magnetization law for the
-mean-field Gibbs law, else a ``MixtureLaw``, which integrates a closed form
-for the binomial moment (one cdf and one pmf per success probability, de
-Moivre's identity) over the mixing belief by one fixed Gauss-Legendre rule
-per cell (``measures.belief_expectation``). Monte Carlo draws every worker
-substream from one ``measures.totals_sampler``, built once per call, and
-pools them in ``core.pooled_mean``.
+fixes the state's fair council weight. This module keeps the routes and
+the exact routes' budget; each route reads the one law that
+``measures.state_law`` picks. The exact route takes its E|S|, Monte Carlo
+draws every worker substream from its sampler, built once per call by
+``measures.totals_sampler``, and pools them in ``core.pooled_mean``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +22,14 @@ from .core import (
     pooled_mean,
 )
 from . import meanfield
+# the binomial kernel and its Boost wrappers are also read from this module
 from .measures import (
     _abs_moment,
     _binom_cdf,
     _binom_pmf,
-    _common_belief_law,
-    belief_expectation,
-    magnetization_pmf,
-    mixing_belief,
+    binom_abs_moments,
+    binom_mean_abs_deviation,
+    state_law,
     totals_sampler,
     validate_model,
 )
@@ -43,78 +39,6 @@ from .measures import (
 #: probability, and the mean-field law its mass window: O(sqrt(N)) points,
 #: O(N^(3/4)) at J = 1.
 DEFAULT_POPULATION_BUDGET = 10**9
-
-
-def _binom_abs_dev(n, p, t):
-    """E|K - t| for K ~ Binomial(n, p), vectorized over p and t.
-
-    De Moivre's mean-absolute-deviation identity, sum over k <= m of
-    (np - k) P(k) = (n - m) p P(m), gives the closed form
-
-        E|K - t| = np - t + 2 [(t - np) F(m) + (n - m) p P(m)],
-
-    m = floor(t), with F and P the binomial cdf and pmf: one cdf and one
-    pmf per p.
-    """
-    m = np.floor(t)
-    tail = (t - n * p) * _binom_cdf(m, n, p) + (n - m) * p * _binom_pmf(m, n, p)
-    return n * p - t + 2.0 * tail
-
-
-def binom_abs_moments(n, ps):
-    """E|2K - n| for K ~ Binomial(n, p), vectorized over p: twice the
-    deviation about n/2, taken at q = max(p, 1 - p) by symmetry. There F(m)
-    is a lower tail and the bracket a nonnegative correction; below
-    p = 1/2, np - t would nearly cancel against 2 (t - np) F(m).
-    """
-    q = np.atleast_1d(np.asarray(ps, dtype=float))
-    return 2.0 * _binom_abs_dev(n, np.maximum(q, 1.0 - q), n / 2.0)
-
-
-def binom_mean_abs_deviation(n, ps):
-    """E|K - n p| for K ~ Binomial(n, p), where the closed form reduces to
-    2 (n - m) p P(m), m = floor(np); the coupling moment E|S - N Z| is
-    twice this deviation about the conditional mean, summed over the
-    belief's transport atoms in ``commonbelief.margin_bound_check``."""
-    ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    return _binom_abs_dev(n, ps, n * ps)
-
-
-@dataclass(frozen=True)
-class MixtureLaw:
-    """The law of S under the binomial mixture of n voters over a validated
-    belief, read as a ``MagnetizationPmf`` is."""
-
-    belief: object
-    n: int
-
-    def abs_moment(self, power=1):
-        """E|S| by quadrature over the belief, or E S^2 = N + N(N-1) E Z^2."""
-        n = self.n
-        if power == 2:
-            return n + n * (n - 1) * _abs_moment(self.belief, 2)
-        if power != 1:
-            raise ValueError(f"a mixture law gives power 1 or 2, got {power}")
-        return float(belief_expectation(
-            self.belief, lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0), n))
-
-    def prob_of(self, s):
-        """P(S = s), from the closed-form law of the yes-count at k and n - k."""
-        k, odd = divmod(self.n + int(s), 2)
-        if odd or not 0 <= k <= self.n:
-            return 0.0
-        ks = np.array(sorted({k, self.n - k}), dtype=float)
-        return float(_common_belief_law(self.belief, self.n, ks)[0])
-
-
-def state_law(model, n):
-    """The law of S for n voters, picked here alone: ``magnetization_pmf`` for
-    the mean-field Gibbs law, else the ``MixtureLaw`` over the mixing belief."""
-    validate_model(model)
-    belief = mixing_belief(model, n)
-    if belief is None:
-        return magnetization_pmf(model.coupling, n)
-    return MixtureLaw(belief, n)
 
 
 def check_exact_route(model, n):
@@ -167,7 +91,7 @@ def expected_margin_asymptotic(model, n):
     n = check_population(n)
     if isinstance(model, MeanField):
         return meanfield.asymptotic_weight_meanfield(model.coupling, n)
-    mean_abs = _abs_moment(mixing_belief(model, n), 1)
+    mean_abs = _abs_moment(state_law(model, n).belief, 1)
     value = n * mean_abs if mean_abs > 0.0 else meanfield.ROOT_2_OVER_PI * math.sqrt(n)
     return MarginEstimate(value=value, std_error=0.0, method=ASYMPTOTIC, samples=0)
 

@@ -9,12 +9,11 @@ the votes:
 * the mean-field (Curie-Weiss) Gibbs measure with weight
   exp(J S^2 / (2 (N-1))) in the total spin S.
 
-Behind them stand two laws of the total. ``mixing_belief`` gives the belief
-whose binomial mixture is a model's law at population N, the point mass at
-zero for independent voters and for a single mean-field voter; the other
-law is the mean-field Gibbs law at N >= 2, ``magnetization_pmf``; the
-exact moments pick one in ``estimators.state_law``. A point mass is the
-one atom (0, 1): it and ``DiscreteSymmetric`` are read from their ``atoms``.
+Behind them stand two laws of the total, and ``state_law`` picks one per
+(model, N): the windowed mean-field Gibbs law at N >= 2, or a
+``MixtureLaw`` over a belief. Each carries E|S|, E S^2, P(S = s) and a
+sampler of S, which every estimator route reads. A point mass is the one
+atom (0, 1): it and ``DiscreteSymmetric`` are read from their ``atoms``.
 
 A continuous belief is uniform or the piecewise-linear density through a
 grid's nodes. Expectations of other functions over it take one fixed
@@ -25,12 +24,9 @@ quadrature: on each cell of a continuous belief, P(K = k) is a difference
 of binomial cdfs (regularized incomplete betas). Exact enumeration and the
 common-belief tie P(S = 0) read this law, and ``pmf_exact`` shares
 P(K = k) among the C(N, k) outcomes with k yes-votes. ``totals_sampler``
-builds a total-spin sampler once per (model, N); Monte Carlo callers draw
-every worker substream's chunk from it. A mean-field total is the inverse
-cdf of its law, read from a guide table of at most 2^16 int32 entries over
-equal buckets of [0, 1); only the buckets that two or more cdf values split
-are searched, and the power-of-two bucket count keeps every draw identical
-to ``Generator.choice``.
+returns the law's sampler, built once per (model, N); Monte Carlo callers
+draw every worker substream's chunk from it, a mean-field total through the
+guide table of its window, with draws identical to ``Generator.choice``.
 """
 
 import math
@@ -79,6 +75,41 @@ def _binom_pmf(k, n, p):
 
 def _binom_sf(k, n, p):
     return _special()._ufuncs._binom_sf(k, n, p)
+
+
+def _binom_abs_dev(n, p, t):
+    """E|K - t| for K ~ Binomial(n, p), vectorized over p and t.
+
+    De Moivre's mean-absolute-deviation identity, sum over k <= m of
+    (np - k) P(k) = (n - m) p P(m), gives the closed form
+
+        E|K - t| = np - t + 2 [(t - np) F(m) + (n - m) p P(m)],
+
+    m = floor(t), with F and P the binomial cdf and pmf: one cdf and one
+    pmf per p.
+    """
+    m = np.floor(t)
+    tail = (t - n * p) * _binom_cdf(m, n, p) + (n - m) * p * _binom_pmf(m, n, p)
+    return n * p - t + 2.0 * tail
+
+
+def binom_abs_moments(n, ps):
+    """E|2K - n| for K ~ Binomial(n, p), vectorized over p: twice the
+    deviation about n/2, taken at q = max(p, 1 - p) by symmetry. There F(m)
+    is a lower tail and the bracket a nonnegative correction; below
+    p = 1/2, np - t would nearly cancel against 2 (t - np) F(m).
+    """
+    q = np.atleast_1d(np.asarray(ps, dtype=float))
+    return 2.0 * _binom_abs_dev(n, np.maximum(q, 1.0 - q), n / 2.0)
+
+
+def binom_mean_abs_deviation(n, ps):
+    """E|K - n p| for K ~ Binomial(n, p), where the closed form reduces to
+    2 (n - m) p P(m), m = floor(np); the coupling moment E|S - N Z| is
+    twice this deviation about the conditional mean, summed over the
+    belief's transport atoms in ``commonbelief.margin_bound_check``."""
+    ps = np.atleast_1d(np.asarray(ps, dtype=float))
+    return _binom_abs_dev(n, ps, n * ps)
 
 
 # --------------------------------------------------------------------------
@@ -377,6 +408,25 @@ class MagnetizationPmf:
         # each s > 0 stands for +-s; s = 0 only for itself
         return float(2.0 * terms.sum() - (terms[0] if self.lo == 0 else 0.0))
 
+    def sampler(self):
+        """``draw(gen, size)`` of S by its window's guide table (``totals_sampler``)."""
+        spins, mass = self.window()
+        cdf = np.cumsum(mass)
+        cdf /= cdf[-1]
+        buckets, table = _guide_table(cdf, mass.max())
+
+        def draw(gen, size):
+            u = gen.random(size)
+            idx = table[(u * buckets).astype(np.intp)]
+            # at idx = -1 the comparison reads cdf[-1] = 1 > u and adds 0
+            idx += cdf[idx] <= u
+            ambiguous = idx < 0
+            if ambiguous.any():
+                idx[ambiguous] = cdf.searchsorted(u[ambiguous], side="right")
+            return spins[idx]
+
+        return draw
+
 
 def magnetization_pmf(coupling, n):
     """Exact mean-field law of S: P(S=s) proportional to
@@ -471,33 +521,75 @@ def _common_belief_law(belief, n, k):
     return half + half[::-1]
 
 
-def mixing_belief(model, n):
-    """The belief whose binomial mixture is the model's law at population
-    n: a common belief's own, the point mass at zero for independent voters
-    and for a single mean-field voter (no pair to couple), and None for the
-    mean-field Gibbs law at n >= 2."""
-    if isinstance(model, CommonBelief):
-        return model.belief
-    if isinstance(model, MeanField) and n > 1:
-        return None
-    return PointMassZero()
+def _is_gibbs(model, n):
+    """Whether (model, n) has the mean-field Gibbs law, not a mixture's."""
+    return isinstance(model, MeanField) and n > 1
+
+
+@dataclass(frozen=True)
+class MixtureLaw:
+    """The law of S under the binomial mixture of n voters over a validated
+    belief, read as a ``MagnetizationPmf`` is."""
+
+    belief: object
+    n: int
+
+    def abs_moment(self, power=1):
+        """E|S| by quadrature over the belief, or E S^2 = N + N(N-1) E Z^2."""
+        n = self.n
+        if power == 2:
+            return n + n * (n - 1) * _abs_moment(self.belief, 2)
+        if power != 1:
+            raise ValueError(f"a mixture law gives power 1 or 2, got {power}")
+        return float(belief_expectation(
+            self.belief, lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0), n))
+
+    def prob_of(self, s):
+        """P(S = s), from the closed-form law of the yes-count at k and n - k."""
+        k, odd = divmod(self.n + int(s), 2)
+        if odd or not 0 <= k <= self.n:
+            return 0.0
+        ks = np.array(sorted({k, self.n - k}), dtype=float)
+        return float(_common_belief_law(self.belief, self.n, ks)[0])
+
+    def sampler(self):
+        """``draw(gen, size)`` of S: a belief value Z, then Binomial(n, (1 + Z)/2)."""
+        n = self.n
+        if isinstance(self.belief, PointMassZero):
+            # bit-identical to the mixture's draws, and faster with a scalar p
+            return lambda gen, size: 2 * gen.binomial(n, 0.5, size=size).astype(np.int64) - n
+        draw_z = belief_sampler(self.belief)
+
+        def draw(gen, size):
+            zs = draw_z(gen, size)
+            return 2 * gen.binomial(n, (1.0 + zs) / 2.0).astype(np.int64) - n
+
+        return draw
+
+
+def state_law(model, n):
+    """The law of S for n voters, picked here alone: ``magnetization_pmf`` for
+    the mean-field Gibbs law, else a ``MixtureLaw`` over a common belief's
+    own or the point mass at zero (independent voters, one mean-field voter)."""
+    validate_model(model)
+    if _is_gibbs(model, n):
+        return magnetization_pmf(model.coupling, n)
+    return MixtureLaw(model.belief if isinstance(model, CommonBelief) else PointMassZero(), n)
 
 
 def count_law(model, n):
     """Law of the yes-count K = (n + S)/2: P(K = k) for k = 0..n.
 
-    A binomial mixture (see ``mixing_belief``) gives its law in closed
-    form, with no quadrature: binomial rows for atoms, and binomial cdf
+    A binomial mixture (see ``state_law``) gives its law in closed form,
+    with no quadrature: binomial rows for atoms, and binomial cdf
     differences per cell for a uniform or gridded belief, whose density is
     piecewise linear. The mean-field Gibbs law comes from the definition,
     normalized over all n + 1 log-weights: meant for small n, and kept
     apart from the windowed ``magnetization_pmf``, which enumeration checks.
     """
-    validate_model(model)
-    belief = mixing_belief(model, n)
     k = np.arange(n + 1, dtype=float)
-    if belief is not None:
-        return _common_belief_law(belief, n, k)
+    if not _is_gibbs(model, n):
+        return _common_belief_law(state_law(model, n).belief, n, k)
     logw = _meanfield_log_weights(model.coupling, n)
     return np.exp(logw - _special().logsumexp(logw))
 
@@ -605,50 +697,22 @@ def _guide_table(cdf, peak):
 def totals_sampler(model, n):
     """A sampler ``draw(gen, size)`` of total spins S = sum of votes.
 
-    Everything that depends only on (model, n) is built here, once: the
-    mixing belief's sampler, and for the mean-field Gibbs law the cdf of
-    the magnetization law's window with its guide table. The cdf is the
-    cumulative sum that ``gen.choice(support, p=probs)`` forms; the zeros
-    outside the window add exactly, so it equals that of the full law
-    wherever it rises. Each draw takes one u = ``gen.random()`` and returns
-    the spin at ``cdf.searchsorted(u, side="right")``, as ``gen.choice``
-    does: the guide table gives that index in one lookup and one
-    comparison, and only a u in a bucket that two or more cdf values split
-    is searched. u is a multiple of 2^-53 and the bucket count a power of
-    two, so the bucket of u is exact and the draws are bit-identical to
+    Everything that depends only on (model, n) is built once, by the
+    ``sampler()`` of its ``state_law``: a mixture's belief sampler, and for
+    the mean-field Gibbs law the cdf of the window with its guide table.
+    The cdf is the cumulative sum that ``gen.choice(support, p=probs)``
+    forms; the zeros outside the window add exactly, so it equals that of
+    the full law wherever it rises. Each draw takes one u = ``gen.random()``
+    and returns the spin at ``cdf.searchsorted(u, side="right")``, as
+    ``gen.choice`` does: the guide table gives that index in one lookup and
+    one comparison, and only a u in a bucket that two or more cdf values
+    split is searched. u is a multiple of 2^-53 and the bucket count a power
+    of two, so the bucket of u is exact and the draws are bit-identical to
     ``gen.choice``. The table is int32 and capped at ``GUIDE_MAX_BUCKETS``
     = 2^16 entries, 256 KB per sampler.
     """
-    validate_model(model)
     check_population(n)
-    belief = mixing_belief(model, n)
-    if isinstance(belief, PointMassZero):
-        # bit-identical to the mixture's draws, and faster with a scalar p
-        return lambda gen, size: 2 * gen.binomial(n, 0.5, size=size).astype(np.int64) - n
-    if belief is not None:
-        draw_z = belief_sampler(belief)
-
-        def draw(gen, size):
-            zs = draw_z(gen, size)
-            return 2 * gen.binomial(n, (1.0 + zs) / 2.0).astype(np.int64) - n
-
-        return draw
-    spins, mass = magnetization_pmf(model.coupling, n).window()
-    cdf = np.cumsum(mass)
-    cdf /= cdf[-1]
-    buckets, table = _guide_table(cdf, mass.max())
-
-    def draw(gen, size):
-        u = gen.random(size)
-        idx = table[(u * buckets).astype(np.intp)]
-        # at idx = -1 the comparison reads cdf[-1] = 1 > u and adds 0
-        idx += cdf[idx] <= u
-        ambiguous = idx < 0
-        if ambiguous.any():
-            idx[ambiguous] = cdf.searchsorted(u[ambiguous], side="right")
-        return spins[idx]
-
-    return draw
+    return state_law(model, n).sampler()
 
 
 def _totals_with_generator(model, n, size, gen):

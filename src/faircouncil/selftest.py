@@ -24,6 +24,7 @@ from .measures import (
     field_to_belief,
     magnetization_pmf,
     pmf_exact,
+    state_law,
     totals_sampler,
 )
 from .weights import CouncilSpec, delta, optimal_weights, verify_minimizer
@@ -121,7 +122,7 @@ def _check_moments_vs_bruteforce():
             outcomes = _all_outcomes(n)
             probs = np.array([pmf_exact(model, o) for o in outcomes])
             totals = outcomes.sum(axis=1, dtype=np.int64)
-            law = estimators.state_law(model, n)
+            law = state_law(model, n)
             exact = (estimators.expected_margin_exact(model, n).value,
                      law.abs_moment(power=2), law.prob_of(0))
             brute = (probs @ np.abs(totals), probs @ totals**2, probs @ (totals == 0))
@@ -255,8 +256,9 @@ CHECKS = (
 )
 
 
-def run_selftest(report=print):
-    """Run every invariant check; returns the list of results."""
+def run_selftest():
+    """Run every invariant check, printing one line per check; returns the
+    list of results."""
     results = []
     for name, fn in CHECKS:
         try:
@@ -264,7 +266,5 @@ def run_selftest(report=print):
         except Exception as exc:  # surface, don't hide, broken invariants
             ok, detail = False, f"raised {exc!r}"
         results.append(CheckResult(name=name, ok=ok, detail=detail))
-        if report is not None:
-            line = f"ok   {name}" if ok else f"FAIL {name}: {detail}"
-            report(line)
+        print(f"ok   {name}" if ok else f"FAIL {name}: {detail}")
     return results

@@ -17,7 +17,7 @@ enumeration shows the deficit still decreasing there, and a single-voter
 state makes it obvious (w = E|S| = 1 gives zero deficit, w = 1/2 does not).
 
 The expansion needs three numbers per state: ``council_moments`` reads them
-from one ``estimators.state_law`` per state into a ``MomentTable``, whose
+from one ``measures.state_law`` per state into a ``MomentTable``, whose
 margins are the optimal weights and on which every semi-exact route
 evaluates its closed form.
 The exact route enumerates the product of the states' yes-count laws, reading
@@ -37,7 +37,7 @@ from .core import (
     pooled_mean,
     signs,
 )
-from .measures import _enumeration_law, totals_sampler, validate_model
+from .measures import _enumeration_law, state_law, totals_sampler, validate_model
 
 SEMI_EXACT = "semi_exact"
 
@@ -160,9 +160,9 @@ def state_margin(state):
 
 
 def _checked_law(state):
-    """The state's ``estimators.state_law``, once the exact route takes it."""
+    """The state's ``state_law``, once the exact route takes it."""
     estimators.check_exact_route(state.model, state.population)
-    return estimators.state_law(state.model, state.population)
+    return state_law(state.model, state.population)
 
 
 def state_second_moment(state):
@@ -175,7 +175,7 @@ def state_tie_probability(state):
     the exact route takes the state."""
     model, n = state.model, state.population
     estimators.check_exact_route(model, n)
-    return 0.0 if n % 2 else estimators.state_law(model, n).prob_of(0)
+    return 0.0 if n % 2 else state_law(model, n).prob_of(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,10 +372,13 @@ class MinimizerReport:
                      if not (c.not_below if isinstance(c, PerturbationCheck) else c.within_tol))
 
 
-def verify_minimizer(council, w_star, step, mode=SEMI_EXACT):
+def verify_minimizer(council, w_star, step):
     """Check that the deficit does not drop under coordinate perturbations
     of the given weights, and that its per-coordinate quadratic vertex sits
-    within 1e-9 of the state's expected margin.
+    at the state's expected margin, all read from one ``council_moments``
+    table. The deficits' terms reach sum E(S^2), and their rounding moves
+    the finite-difference vertex by up to about eps sum E(S^2) / step: the
+    vertex tolerance is 1e-9 + 4 eps sum E(S^2) / step.
 
     Violations are reported, not raised: councils with two or more
     even-population states have tie correlations that legitimately shift
@@ -384,7 +387,9 @@ def verify_minimizer(council, w_star, step, mode=SEMI_EXACT):
     if not step > 0.0:
         raise ValueError("step must be > 0")
     w0 = _as_weights(w_star, council)
-    base = delta(council, w0, mode=mode).value
+    table = council_moments(council)
+    base = table.deficit(w0).value
+    tol = 1e-9 + 4.0 * np.finfo(float).eps * table.seconds.sum() / step
     perturbations = []
     vertices = []
     for i, state in enumerate(council.states):
@@ -392,8 +397,8 @@ def verify_minimizer(council, w_star, step, mode=SEMI_EXACT):
         plus[i] += step
         minus = w0.copy()
         minus[i] -= step
-        d_plus = delta(council, plus, mode=mode).value
-        d_minus = delta(council, minus, mode=mode).value
+        d_plus = table.deficit(plus).value
+        d_minus = table.deficit(minus).value
         perturbations.append(PerturbationCheck(state.name, +step, d_plus, d_plus >= base))
         perturbations.append(PerturbationCheck(state.name, -step, d_minus, d_minus >= base))
         curvature = d_plus - 2.0 * base + d_minus
@@ -401,8 +406,8 @@ def verify_minimizer(council, w_star, step, mode=SEMI_EXACT):
             vertices.append(VertexCheck(state.name, math.nan, math.nan, False))
             continue
         vertex = w0[i] - step * (d_plus - d_minus) / (2.0 * curvature)
-        target = state_margin(state).value
-        vertices.append(VertexCheck(state.name, vertex, target, abs(vertex - target) <= 1e-9))
+        target = float(table.margins[i])
+        vertices.append(VertexCheck(state.name, vertex, target, abs(vertex - target) <= tol))
     return MinimizerReport(
         delta_at_weights=base,
         perturbations=tuple(perturbations),

@@ -23,6 +23,7 @@ from faircouncil import (
     sample,
     sample_totals,
 )
+from faircouncil import measures
 from faircouncil.commonbelief import vote_share_law
 from faircouncil.measures import (
     GUIDE_MAX_BUCKETS,
@@ -36,6 +37,7 @@ from faircouncil.measures import (
     count_law,
     sample_belief,
     sample_outcomes,
+    state_law,
     totals_sampler,
     validate_belief,
 )
@@ -625,3 +627,32 @@ def test_independent_voters_are_the_point_mass_belief(n):
         states.append(repr(gen.bit_generator.state))
     for values in (triples, laws, draws, states):
         assert all(v == values[0] for v in values)
+
+
+LAW_MODELS = {
+    "independent": Independent(),
+    **{name: CommonBelief(belief) for name, belief in SAMPLER_BELIEFS.items()},
+    "meanfield": MeanField(1.2),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 1001])
+@pytest.mark.parametrize("name", list(LAW_MODELS))
+def test_totals_sampler_is_the_state_laws_sampler(name, n):
+    # n = 1 takes a single mean-field voter to the point-mass mixture
+    model = LAW_MODELS[name]
+    gen, ref = RngStream(19, n).generator(), RngStream(19, n).generator()
+    drawn = totals_sampler(model, n)(gen, 500)
+    assert np.array_equal(drawn, state_law(model, n).sampler()(ref, 500))
+    assert gen.random() == ref.random()
+
+
+def test_count_law_of_the_gibbs_law_builds_no_window(monkeypatch):
+    # the definition-level law stays apart from the windowed magnetization law
+    def refuse(*args):
+        raise AssertionError("count_law built the magnetization window")
+
+    monkeypatch.setattr(measures, "magnetization_pmf", refuse)
+    law = count_law(MeanField(1.0), 20)
+    assert law.size == 21
+    assert abs(law.sum() - 1.0) <= 1e-12

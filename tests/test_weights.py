@@ -31,6 +31,7 @@ from faircouncil import (
     optimal_weights,
     verify_minimizer,
 )
+from faircouncil import weights
 from faircouncil.measures import pmf_exact
 from faircouncil.weights import (
     council_moments,
@@ -259,6 +260,39 @@ class TestMinimizer:
         report = verify_minimizer(council, optimal_weights(council), step=0.1)
         assert not report.ok
         assert report.violations()
+
+    @pytest.mark.parametrize("populations", [
+        (100_001, 300_001, 500_001),
+        (5 * 10**7 + 1, 8 * 10**7 + 1, 3 * 10**7 + 1),
+    ])
+    def test_vertex_tolerance_covers_the_deficits_rounding(self, populations):
+        # all odd, so no tie shift: the vertex is off only by the rounding of
+        # deficits whose terms reach sum E(S^2), well above 1e-9 here
+        models = (Independent(), MeanField(0.5), CommonBelief(UniformSymmetric(0.1)))
+        council = CouncilSpec(list(zip("abc", populations, models)))
+        report = verify_minimizer(council, optimal_weights(council), step=0.1)
+        assert report.ok
+        assert max(abs(v.vertex - v.expected_margin) for v in report.vertices) > 1e-9
+
+    def test_council_of_27_large_states_is_a_minimizer(self):
+        rng = np.random.default_rng(3)
+        models = [Independent(), MeanField(0.5), MeanField(1.5),
+                  CommonBelief(UniformSymmetric(0.1)), MeanField(0.9)]
+        council = CouncilSpec([(f"s{i}", int(10 ** rng.uniform(5.7, 7.9)) | 1, models[i % 5])
+                               for i in range(27)])
+        assert verify_minimizer(council, optimal_weights(council), step=1.0).ok
+
+    def test_reads_one_moment_table(self, monkeypatch):
+        w = optimal_weights(MIXED)
+        tables = []
+
+        def counted(council):
+            tables.append(council)
+            return council_moments(council)
+
+        monkeypatch.setattr(weights, "council_moments", counted)
+        verify_minimizer(MIXED, w, step=0.1)
+        assert tables == [MIXED]
 
     def test_lattice_search_lands_on_optimal_weights(self):
         # exhaustive 0.05-lattice over the semi-exact deficit (validated
