@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import time
 
@@ -212,7 +213,10 @@ def council_to_config(council):
 def _numbers(value):
     if not isinstance(value, list):
         raise TypeError("must be a list of numbers")
-    return [float(x) for x in value]
+    numbers = [float(x) for x in value]
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("every entry must be finite")
+    return numbers
 
 
 def _council_weights(args, cfg, council):
@@ -562,6 +566,8 @@ def _cmd_council_sim(args, cfg, resolved):
     _require_trials(args, 1)
     council = parse_council(cfg, args.quota)
     w, weight_source, _ = _council_weights(args, cfg, council)
+    if any(v < 0.0 for v in w):
+        raise UsageError(f"council weights must be >= 0, got {w}")
     resolved.update({
         "weights": w,
         "weight_source": weight_source,

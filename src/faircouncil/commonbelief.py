@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators
-from .core import CommonBelief, check_population
+from .core import EXACT, MONTE_CARLO, CommonBelief, check_population
 from .measures import (
     ATOMIC,
     UniformSymmetric,
@@ -33,6 +33,10 @@ BOUNDARY = "boundary"
 #: Number of equal-mass atoms used to represent a continuous belief when
 #: computing transport distances; the induced error is at most 1/(2 * ATOMS).
 _TRANSPORT_ATOMS = 8192
+#: Largest population of ``vote_share_law``: its N + 1 probabilities, sorted
+#: with the transport atoms in ``distribution_distance``, take about 55 bytes
+#: per voter at peak (0.6 GB at this cap).
+VOTE_SHARE_MAX_N = 10**7
 
 
 def mu_bar(belief):
@@ -162,22 +166,16 @@ class MarginBoundReport:
 def margin_bound_check(belief, n, mode="exact", samples=100_000, rng=None, workers=1):
     """Evaluate E(|S|/N) and check it against the mu_bar sandwich.
 
-    ``mode`` "exact" integrates shifted binomials by quadrature; "monte_carlo"
-    estimates the margin by simulation. Either way the coupling moment
-    E|S - N Z| is summed over the belief's transport atoms: its kernel has a
-    kink at every p = m/N, which no fixed rule resolves.
+    ``mode``, "exact" or "monte_carlo", picks the ``estimators.expected_margin``
+    route that gives E|S|. Either way the coupling moment E|S - N Z| is
+    summed over the belief's transport atoms: its kernel has a kink at every
+    p = m/N, which no fixed rule resolves.
     """
     validate_belief(belief)
     check_population(n)
-    model = CommonBelief(belief)
-    if mode == "exact":
-        mean_margin = estimators.expected_margin_exact(model, n).value
-    elif mode == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo mode needs an RngStream")
-        mean_margin = estimators.expected_margin_mc(model, n, samples, rng, workers=workers).value
-    else:
+    if mode not in (EXACT, MONTE_CARLO):
         raise ValueError(f"unknown mode {mode!r}")
+    mean_margin = estimators.expected_margin(CommonBelief(belief), n, mode, samples, rng, workers).value
     zs, ws = _belief_atoms(belief)
     coupled = float(ws @ (2.0 * binom_mean_abs_deviation(n, (1.0 + zs) / 2.0)))
     mean_abs = mu_bar(belief)
@@ -198,7 +196,10 @@ def margin_bound_check(belief, n, mode="exact", samples=100_000, rng=None, worke
 
 def vote_share_law(belief, n):
     """Exact law of (1/N) sum of votes: lattice points (2k - N)/N for
-    k = 0..N and their mixture probabilities under the belief."""
+    k = 0..N and their mixture probabilities under the belief. N is capped
+    at ``VOTE_SHARE_MAX_N``, checked before anything is allocated."""
+    if check_population(n) > VOTE_SHARE_MAX_N:
+        raise ValueError(f"the vote-share law is limited to N <= {VOTE_SHARE_MAX_N}, got {n}")
     probs = np.maximum(count_law(CommonBelief(belief), n), 0.0)
     probs /= probs.sum()
     return (2.0 * np.arange(n + 1) - n) / n, probs

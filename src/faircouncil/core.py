@@ -120,10 +120,6 @@ class MeanField:
         object.__setattr__(self, "coupling", j)
 
 
-#: Union of the three per-state correlation models.
-VotingModel = Independent | CommonBelief | MeanField
-
-
 # --------------------------------------------------------------------------
 # estimates
 # --------------------------------------------------------------------------

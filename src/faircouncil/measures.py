@@ -171,12 +171,10 @@ ATOMIC = (PointMassZero, DiscreteSymmetric)
 def validate_belief(belief):
     """Check total mass, symmetry, and support of a belief distribution,
     and return it. A valid belief is checked once, cached on the frozen
-    belief; a failed check is not cached, so it raises at every use. An
-    unhashable argument is never a belief and takes the uncached check."""
-    try:
-        _checked_belief(belief)
-    except TypeError:
-        _check_belief(belief)
+    belief; a failed check is not cached, so it raises at every use."""
+    if not isinstance(belief, BeliefDistribution):
+        raise TypeError(f"not a belief distribution: {belief!r}")
+    _checked_belief(belief)
     return belief
 
 
@@ -219,21 +217,16 @@ def _check_belief(belief):
         mass = np.trapezoid(dens, nodes)
         if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(f"gridded density integrates to {float(mass)!r}, not 1")
-        return
-    raise TypeError(f"not a belief distribution: {belief!r}")
 
 
 _checked_belief = lru_cache(maxsize=256)(_check_belief)
 
 
-@lru_cache(maxsize=256)
 def _atom_arrays(belief):
-    """(zs, ws) of an atomic belief, built once: read-only strided columns of
-    one array. ``@`` and ``tensordot`` order their sums by layout, so the
-    quadrature still reduces over a contiguous copy."""
-    atoms = np.array(belief.atoms)
-    atoms.flags.writeable = False
-    return tuple(atoms.T)
+    """(zs, ws) of an atomic belief: the strided columns of one array.
+    ``@`` and ``tensordot`` order their sums by layout, so the quadrature
+    reduces over a contiguous copy."""
+    return tuple(np.array(belief.atoms).T)
 
 
 def validate_model(model):
@@ -345,12 +338,15 @@ def _log_binom(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
-def _meanfield_log_weights(coupling, n):
-    """Log of binomial(n, k) * exp(J s^2 / (2(n-1))) over k = 0..n; the
-    log-binomial comes from one gammaln pass, lg[n] - lg[k] - lg[n - k]."""
-    lg = _special().gammaln(np.arange(n + 1) + 1.0)
-    s = 2.0 * np.arange(n + 1) - n
-    return lg[n] - lg - lg[::-1] + coupling * s**2 / (2.0 * (n - 1))
+def _meanfield_log_weights(coupling, n, k=None):
+    """Log of binomial(n, k) * exp(J s^2 / (2(n-1))), s = 2k - n, at the
+    yes-counts k, by default every k = 0..n. The largest, at s = +-n, is
+    not finite once J n^2 overflows (above about 1.8e308): such a coupling
+    has no law, and it raises."""
+    if not math.isfinite(coupling * float(n) ** 2):
+        raise ValueError(f"mean-field log-weights overflow at J = {coupling!r}, N = {n}")
+    k = np.arange(n + 1) if k is None else k
+    return _log_binom(n, k) + coupling * (2.0 * k - n) ** 2 / (2.0 * (n - 1))
 
 
 #: Log-weights further than this below the peak come out exactly 0 after
@@ -433,7 +429,7 @@ def magnetization_pmf(coupling, n):
     binomial(n, (n+s)/2) * exp(J s^2 / (2(n-1))), kept on its mass window.
 
     The half-line s >= 0 is scanned on a stride of floor(sqrt(n)) in k =
-    (n+s)/2 with the ``gammaln`` log-weights, whose rounding only moves the
+    (n+s)/2 with ``_meanfield_log_weights``, whose rounding only moves the
     window's edge. The window runs between the neighbours of the coarse
     nodes within ``WINDOW_NATS`` of the maximum: the log-weight is unimodal
     on the half line, so nothing outside it survives normalization. Inside,
@@ -443,13 +439,13 @@ def magnetization_pmf(coupling, n):
     J = 1 (Ellis and Newman 1978), and its moments agree with 30-digit
     sums to about 1e-14 relative.
     """
-    if coupling < 0.0:
+    if not coupling >= 0.0:  # written to fail on NaN, which compares false
         raise ValueError("coupling must be >= 0")
     n = check_population(n)
     if n < 2:
         raise ValueError("magnetization pmf needs n >= 2")
     nodes = np.union1d(np.arange((n + 1) // 2, n + 1, math.isqrt(n)), n)
-    coarse = _log_binom(n, nodes) + coupling * (2.0 * nodes - n) ** 2 / (2.0 * (n - 1))
+    coarse = _meanfield_log_weights(coupling, n, nodes)
     kept = np.flatnonzero(coarse >= coarse.max() - WINDOW_NATS)
     first = int(nodes[max(kept[0] - 1, 0)])
     k = np.arange(first + 1, nodes[min(kept[-1] + 1, nodes.size - 1)] + 1)

@@ -400,6 +400,45 @@ class TestGriddedCouncil:
         assert run(["delta", "--config", path], capsys)[0] == 0
 
 
+class TestExplicitWeights:
+    """Explicit weights must be finite, and council-sim's also >= 0: a
+    malformed list is a usage error (exit 1), from the flag or the config."""
+
+    @pytest.mark.parametrize("cmd, flag, listed", [
+        ("delta", "--weights=nan,1,1", None),
+        ("delta", None, [1.0, math.inf, 1.0]),
+        ("council-sim", "--weights=-1,1,1", None),
+        ("council-sim", None, [-1, 1, 1]),
+    ], ids=["delta-nan-flag", "delta-inf-config", "sim-negative-flag", "sim-negative-config"])
+    def test_malformed_weights_exit_one(self, cmd, flag, listed, tmp_path, capsys):
+        cfg = UNION if listed is None else {**UNION, "weights": listed}
+        args = [cmd, "--config", _council_file(tmp_path, json.dumps(cfg)), "--trials", "100"]
+        code, out, err = run(args + ([flag] if flag else []), capsys)
+        assert code == 1, err
+        assert re.search("must be finite|must be >= 0", err)
+
+    def test_negative_weights_have_a_deficit(self, union_config, capsys):
+        code, out, err = run(["delta", "--config", union_config, "--weights=-1,2,1"], capsys)
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("args", [
+    ["--J", "1e305"],
+    ["--J", "1e308", "--method", "monte-carlo", "--trials", "100"],
+], ids=["exact", "monte-carlo"])
+def test_overflowing_coupling_exits_two(args, capsys):
+    code, out, err = run(["margin", "--model", "mean-field", "--N", "1001", *args], capsys)
+    assert code == 2
+    assert "mean-field log-weights overflow at J = 1e+30" in err
+
+
+def test_distribution_above_the_vote_share_cap_exits_two(capsys):
+    code, out, err = run(["distribution", "--belief", "uniform", "--a", "0.5",
+                          "--N", "10000001"], capsys)
+    assert code == 2
+    assert "vote-share law is limited to N <= 10000000" in err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("args", [
         ["margin", "--model", "independent", "--N", "0"],

@@ -10,6 +10,7 @@ from faircouncil import (
     DiscreteSymmetric,
     GriddedDensity,
     PointMassZero,
+    RngStream,
     StraffinFamily,
     UniformSymmetric,
     classify_regime,
@@ -18,8 +19,8 @@ from faircouncil import (
     mu_bar,
     second_moment,
 )
-from faircouncil.commonbelief import _belief_atoms, vote_share_law
-from faircouncil.estimators import expected_margin_exact
+from faircouncil.commonbelief import VOTE_SHARE_MAX_N, _belief_atoms, vote_share_law
+from faircouncil.estimators import expected_margin_exact, expected_margin_mc
 from faircouncil.measures import belief_expectation, pmf_exact
 from faircouncil.weights import StateSpec, state_tie_probability
 
@@ -174,6 +175,21 @@ class TestMarginBounds:
                                     samples=50_000, rng=RngStream(12))
         assert report.sandwich_ok and report.coupling_ok
 
+    @pytest.mark.parametrize("belief", [UniformSymmetric(1.0), DiscreteSymmetric([(-0.3, 0.5), (0.3, 0.5)])],
+                             ids=["uniform", "atoms"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_mean_margin_is_the_estimator_route(self, belief, workers):
+        n, samples = 500, 20_000
+        mc = margin_bound_check(belief, n, "monte_carlo", samples, RngStream(12), workers)
+        route = expected_margin_mc(CommonBelief(belief), n, samples, RngStream(12), workers)
+        assert mc.mean_margin_fraction == route.value / n
+        exact = margin_bound_check(belief, n, "exact")
+        assert exact.mean_margin_fraction == expected_margin_exact(CommonBelief(belief), n).value / n
+
+    def test_asymptotic_route_is_not_a_mode(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            margin_bound_check(UniformSymmetric(1.0), 10, mode="asymptotic")
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             margin_bound_check(UniformSymmetric(1.0), 10, mode="guess")
@@ -184,6 +200,19 @@ class TestVoteShareLaw:
         values, probs = vote_share_law(UniformSymmetric(1.0), 40)
         np.testing.assert_allclose(probs, np.full(41, 1.0 / 41.0), atol=1e-9)
         assert values[0] == -1.0 and values[-1] == 1.0
+
+    def test_population_above_the_cap_is_refused(self):
+        # about 55 bytes per voter at peak: the check comes before any allocation
+        assert VOTE_SHARE_MAX_N == 10**7
+        with pytest.raises(ValueError, match=f"limited to N <= {VOTE_SHARE_MAX_N}"):
+            vote_share_law(UniformSymmetric(0.5), VOTE_SHARE_MAX_N + 1)
+
+    @pytest.mark.parametrize("n, message", [(2.5, "whole number"), (0, ">= 1"), (-3, ">= 1")])
+    def test_population_is_checked(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            vote_share_law(UniformSymmetric(0.5), n)
+        with pytest.raises(ValueError, match=message):
+            distribution_distance(PointMassZero(), n)
 
     def test_point_mass_is_binomial(self):
         values, probs = vote_share_law(PointMassZero(), 10)

@@ -109,6 +109,12 @@ class TestBeliefValidation:
         with pytest.raises(ValueError):
             validate_belief(belief)
 
+    @pytest.mark.parametrize("other", [Independent(), 0.5, {"type": "uniform"}],
+                             ids=["model", "float", "dict"])
+    def test_non_belief_is_a_type_error(self, other):
+        with pytest.raises(TypeError, match="not a belief distribution"):
+            validate_belief(other)
+
     def test_belief_is_validated_once_and_returned_as_given(self):
         belief = DiscreteSymmetric([(-0.3, 0.5), (0.3, 0.5)])
         validate_belief(belief)
@@ -198,6 +204,24 @@ class TestMagnetizationPmf:
             magnetization_pmf(-0.5, 10)
         with pytest.raises(ValueError):
             magnetization_pmf(0.5, 1)
+
+    def test_overflowing_coupling_raises(self):
+        # J s^2 overflows once J N^2 passes about 1.8e308; the window and the
+        # full law read the same log-weights, so both refuse
+        with pytest.raises(ValueError, match=r"overflow at J = 1e\+308, N = 1001"):
+            magnetization_pmf(1e308, 1001)
+        with pytest.raises(ValueError, match=r"overflow at J = 1e\+306, N = 24"):
+            pmf_exact(MeanField(1e306), [1] * 24)
+        assert magnetization_pmf(1e300, 1001).abs_moment() == 1001.0
+        with pytest.raises(ValueError, match="coupling must be >= 0"):
+            magnetization_pmf(math.nan, 1001)
+
+    @pytest.mark.parametrize("coupling", [0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("n", [2, 1001, 10**5])
+    def test_log_weights_at_chosen_counts_match_the_full_table(self, coupling, n):
+        k = np.union1d(np.arange((n + 1) // 2, n + 1, math.isqrt(n)), n)
+        assert np.array_equal(_meanfield_log_weights(coupling, n, k),
+                              _meanfield_log_weights(coupling, n)[k])
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 4.0), st.integers(2, 3000))

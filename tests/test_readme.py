@@ -8,7 +8,7 @@ import shlex
 
 import pytest
 
-from faircouncil import cli, estimators
+from faircouncil import cli, commonbelief, estimators
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 #: (language, body) of every fenced block
@@ -54,3 +54,8 @@ def test_flag_table_names_only_parser_flags():
 def test_budget_sentence_names_the_budget():
     stated = re.search(r"Exact routes are budgeted at\s+`N <= ([0-9e.]+)`", README).group(1)
     assert float(stated) == estimators.DEFAULT_POPULATION_BUDGET
+
+
+def test_vote_share_sentence_names_the_cap():
+    stated = re.search(r"`vote_share_law` refuses\s+`N > ([0-9e.]+)`", README).group(1)
+    assert float(stated) == commonbelief.VOTE_SHARE_MAX_N
