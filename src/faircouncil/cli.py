@@ -24,6 +24,7 @@ import time
 from . import __version__, council as council_mod, estimators, meanfield
 from .commonbelief import (
     StraffinFamily,
+    check_vote_share_population,
     classify_regime,
     distribution_distance,
     margin_bound_check,
@@ -550,6 +551,8 @@ def _cmd_distribution(args, cfg, resolved):
         "grid": grid,
         "mu_bar": _round12(mu_bar(belief)),
     })
+    for n in grid:  # refuse an oversized grid before any row is computed
+        check_vote_share_population(n)
     rows = []
     for n in grid:
         bound_report = margin_bound_check(belief, n)

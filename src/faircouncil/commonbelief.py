@@ -194,12 +194,17 @@ def margin_bound_check(belief, n, mode="exact", samples=100_000, rng=None, worke
 # --------------------------------------------------------------------------
 
 
+def check_vote_share_population(n):
+    """Raise ValueError unless n is a population within ``VOTE_SHARE_MAX_N``."""
+    if check_population(n) > VOTE_SHARE_MAX_N:
+        raise ValueError(f"the vote-share law is limited to N <= {VOTE_SHARE_MAX_N}, got {n}")
+
+
 def vote_share_law(belief, n):
     """Exact law of (1/N) sum of votes: lattice points (2k - N)/N for
     k = 0..N and their mixture probabilities under the belief. N is capped
     at ``VOTE_SHARE_MAX_N``, checked before anything is allocated."""
-    if check_population(n) > VOTE_SHARE_MAX_N:
-        raise ValueError(f"the vote-share law is limited to N <= {VOTE_SHARE_MAX_N}, got {n}")
+    check_vote_share_population(n)
     probs = np.maximum(count_law(CommonBelief(belief), n), 0.0)
     probs /= probs.sum()
     return (2.0 * np.arange(n + 1) - n) / n, probs

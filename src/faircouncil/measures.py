@@ -16,9 +16,10 @@ sampler of S, which every estimator route reads. A point mass is the one
 atom (0, 1): it and ``DiscreteSymmetric`` are read from their ``atoms``.
 
 A continuous belief is uniform or the piecewise-linear density through a
-grid's nodes. Expectations of other functions over it take one fixed
-``QUAD_NODES``-point Gauss-Legendre rule per cell, with a cell split at
-12/sqrt(N) for the margin at population N. ``count_law``
+grid's nodes. Expectations over it take one fixed ``QUAD_NODES``-point
+Gauss-Legendre rule per cell. The margin at population N splits its cells
+at 12/sqrt(N): below, the rule evaluates the kernel once per node; beyond,
+the margin is N E|Z| over those cells, in closed form. ``count_law``
 gives the law of the yes-count K = (N + S)/2 per (model, N) with no
 quadrature: on each cell of a continuous belief, P(K = k) is a difference
 of binomial cdfs (regularized incomplete betas). Exact enumeration and the
@@ -45,7 +46,7 @@ from .core import (
 )
 
 MASS_TOL = 1e-12
-#: Gauss-Legendre nodes per cell of a continuous belief in ``belief_expectation``.
+#: Gauss-Legendre nodes per cell in ``belief_expectation`` and the margin's cells below 12/sqrt(N).
 QUAD_NODES = 64
 #: No rule has this many nodes: the benchmark's tracer counts a Gauss-Legendre
 #: rule this large as a cap hit, so it stays above ``QUAD_NODES``.
@@ -256,21 +257,23 @@ def _half_line_cells(belief, cut=math.inf):
         nodes, dens = np.array([0.0, belief.a]), (0.5 / belief.a,) * 2
     else:
         nodes, dens = np.array(belief.nodes), belief.densities
-    edges = np.union1d(0.0, nodes[nodes > 0.0])
-    if cut < edges[-1]:
-        edges = np.union1d(edges, cut)
+    # validated nodes ascend strictly, so the edges need no sort
+    edges = np.concatenate([[0.0], nodes[nodes > 0.0]])
+    if cut < edges[-1] and cut not in edges:
+        edges = np.insert(edges, edges.searchsorted(cut), cut)
     rho = np.interp(edges, nodes, dens)
     return np.column_stack([edges[:-1], edges[1:], rho[:-1], rho[1:]])
 
 
-def _abs_moment(belief, power):
+def _abs_moment(belief, power, cells=None):
     """E|Z|^power (power 1 or 2) of a validated belief: the sum over its
     atoms, each term multiplied left to right as w |z| |z|, or Simpson's
     rule per cell of a continuous belief's linear density on z >= 0, exact
-    for this cubic, doubled by symmetry."""
+    for this cubic, doubled by symmetry. Given ``cells``, rows of
+    ``_half_line_cells``, a continuous belief sums over those alone."""
     if isinstance(belief, ATOMIC):
         return float(sum(math.prod([w] + [abs(z)] * power) for z, w in belief.atoms))
-    lo, hi, r0, r1 = _half_line_cells(belief).T
+    lo, hi, r0, r1 = (_half_line_cells(belief) if cells is None else cells).T
     mid = (lo + hi) / 2.0
     ends = r0 * lo**power + 2.0 * (r0 + r1) * mid**power + r1 * hi**power
     return float(np.sum((hi - lo) / 3.0 * ends))
@@ -288,7 +291,7 @@ def _cell_rule(cells, count):
     return (lo + width * t).ravel(), (w * width / 2.0 * (r0 + (r1 - r0) * t)).ravel()
 
 
-def belief_expectation(belief, f, n=1):
+def belief_expectation(belief, f):
     """Integrate a (possibly vector-valued) function of zeta against mu.
 
     ``f`` takes an array of zeta values and returns an array whose leading
@@ -296,18 +299,12 @@ def belief_expectation(belief, f, n=1):
     gridded one takes a fixed ``QUAD_NODES``-point Gauss-Legendre rule on
     each cell of its piecewise-linear density; because mu is symmetric, the
     rule integrates the symmetrized integrand f(z) + f(-z) over z >= 0.
-
-    For the margin kernel E_p|2K - n| of ``n`` voters a cell that straddles
-    z = 12/sqrt(n) is split there. Beyond that point the kernel is n|z| to
-    within e^-72 relative (Hoeffding's bound), so the rule is exact on the
-    linear integrand; inside, the nodes resolve its 1/sqrt(n) bend at
-    z = 0. The default n = 1 splits nothing.
     """
     validate_belief(belief)
     if isinstance(belief, ATOMIC):
         zs, ws = _atom_arrays(belief)
         return np.tensordot(np.ascontiguousarray(ws), f(zs), axes=(0, 0))
-    z, w = _cell_rule(_half_line_cells(belief, 12.0 / math.sqrt(n)), QUAD_NODES)
+    z, w = _cell_rule(_half_line_cells(belief), QUAD_NODES)
     return np.tensordot(w, f(z) + f(-z), axes=(0, 0))
 
 
@@ -444,7 +441,7 @@ def magnetization_pmf(coupling, n):
     n = check_population(n)
     if n < 2:
         raise ValueError("magnetization pmf needs n >= 2")
-    nodes = np.union1d(np.arange((n + 1) // 2, n + 1, math.isqrt(n)), n)
+    nodes = np.append(np.arange((n + 1) // 2, n, math.isqrt(n)), n)
     coarse = _meanfield_log_weights(coupling, n, nodes)
     kept = np.flatnonzero(coarse >= coarse.max() - WINDOW_NATS)
     first = int(nodes[max(kept[0] - 1, 0)])
@@ -531,14 +528,24 @@ class MixtureLaw:
     n: int
 
     def abs_moment(self, power=1):
-        """E|S| by quadrature over the belief, or E S^2 = N + N(N-1) E Z^2."""
+        """E|S|, the belief average of the kernel E_p|2K - N|, p = (1 + z)/2,
+        or E S^2 = N + N(N-1) E Z^2. A continuous belief's cells split at
+        z = 12/sqrt(N): beyond, the kernel is N|z| to within e^-72 relative
+        (Hoeffding), so they give N E|Z| in closed form; below, the rule
+        takes the kernel once per node z >= 0, doubled by symmetry."""
         n = self.n
         if power == 2:
             return n + n * (n - 1) * _abs_moment(self.belief, 2)
         if power != 1:
             raise ValueError(f"a mixture law gives power 1 or 2, got {power}")
-        return float(belief_expectation(
-            self.belief, lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0), n))
+        kernel = lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0)
+        if isinstance(self.belief, ATOMIC):
+            return float(belief_expectation(self.belief, kernel))
+        cut = 12.0 / math.sqrt(n)
+        cells = _half_line_cells(self.belief, cut)
+        bent = cells[:, 1] <= cut
+        z, w = _cell_rule(cells[bent], QUAD_NODES)
+        return float(2.0 * (w @ kernel(z)) + n * _abs_moment(self.belief, 1, cells[~bent]))
 
     def prob_of(self, s):
         """P(S = s), from the closed-form law of the yes-count at k and n - k."""

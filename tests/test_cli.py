@@ -439,6 +439,18 @@ def test_distribution_above_the_vote_share_cap_exits_two(capsys):
     assert "vote-share law is limited to N <= 10000000" in err
 
 
+@pytest.mark.parametrize("size", [["--N", "10000001"], ["--grid", "1000:100000000:x10"]],
+                         ids=["population", "grid"])
+def test_distribution_refuses_the_vote_share_cap_before_any_row(size, monkeypatch, capsys):
+    computed = []
+    monkeypatch.setattr(cli, "margin_bound_check", lambda *a, **k: computed.append(a))
+    monkeypatch.setattr(cli, "distribution_distance", lambda *a, **k: computed.append(a))
+    code, out, err = run(["distribution", "--belief", "uniform", "--a", "0.5", *size], capsys)
+    assert code == 2
+    assert "vote-share law is limited to N <= 10000000" in err
+    assert computed == []
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("args", [
         ["margin", "--model", "independent", "--N", "0"],

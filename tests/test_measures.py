@@ -680,3 +680,44 @@ def test_count_law_of_the_gibbs_law_builds_no_window(monkeypatch):
     law = count_law(MeanField(1.0), 20)
     assert law.size == 21
     assert abs(law.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.5, 1.0, 1.5])
+@pytest.mark.parametrize("n", [2, 3, 7, 12])
+def test_meanfield_log_weights_give_the_pair_energy_law(coupling, n):
+    # the enumeration oracle sums exp(J * pair sum / (n - 1)) outcome by outcome
+    _, probs = meanfield_pmf_by_pair_energy(coupling, n)
+    logw = _meanfield_log_weights(coupling, n)
+    np.testing.assert_allclose(np.exp(logw - logsumexp(logw)), probs, rtol=1e-13, atol=0.0)
+
+
+MARGIN_GUARD_BELIEFS = {
+    "uniform": UniformSymmetric(1.0),
+    "flat_grid": GriddedDensity(np.linspace(-1, 1, 11), [0.5] * 11),
+    "hat_grid": GriddedDensity(np.linspace(-1, 1, 201), 1.0 - np.abs(np.linspace(-1, 1, 201))),
+}
+
+
+@pytest.mark.parametrize("n", [10**3, 10**6])
+@pytest.mark.parametrize("name", list(MARGIN_GUARD_BELIEFS))
+def test_margin_kernel_runs_once_and_only_below_the_cut(name, n, monkeypatch):
+    # beyond z = 12/sqrt(n) the margin is n E|Z| in closed form: the kernel
+    # runs once per abs_moment, QUAD_NODES times per cell below the cut
+    belief = MARGIN_GUARD_BELIEFS[name]
+    calls = []
+    kernel = measures.binom_abs_moments
+
+    def counted(m, ps):
+        calls.append(np.array(ps, dtype=float))
+        return kernel(m, ps)
+
+    monkeypatch.setattr(measures, "binom_abs_moments", counted)
+    cut = 12.0 / math.sqrt(n)
+    edges = np.array(belief.nodes) if isinstance(belief, GriddedDensity) else np.array([belief.a])
+    below = int(np.sum((edges > 0.0) & (edges < cut))) + 1
+    value = state_law(CommonBelief(belief), n).abs_moment()
+    assert len(calls) == 1
+    (ps,) = calls
+    assert ps.size == measures.QUAD_NODES * below
+    assert np.all(2.0 * ps - 1.0 < cut)
+    assert value > 0.0

@@ -25,7 +25,7 @@ from faircouncil import (
     expected_margin_exact,
 )
 from faircouncil.estimators import binom_abs_moments
-from faircouncil.measures import count_law
+from faircouncil.measures import _meanfield_log_weights, count_law
 from faircouncil.weights import state_second_moment, state_tie_probability
 
 DIGITS = 30
@@ -220,6 +220,38 @@ def uniform_margin(a, n):
 def test_narrow_uniform_margin_up_to_the_budget(a, n):
     value = expected_margin_exact(CommonBelief(UniformSymmetric(a)), n).value
     assert _relative_error(value, uniform_margin(a, n)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5, 10**7, 10**9])
+@pytest.mark.parametrize("a", [1.0, 0.1, 0.01, 0.002])
+def test_uniform_margin_across_the_cut(a, n):
+    # 12/sqrt(n) falls inside [0, a] at most of these points and beyond it
+    # at the rest: both the kernel's rule and the closed form beyond are read
+    value = expected_margin_exact(CommonBelief(UniformSymmetric(a)), n).value
+    assert _relative_error(value, uniform_margin(a, n)) <= 1e-12
+
+
+def log_binomials_direct(n, k):
+    """log C(n, k) at each count of k, in mpmath from loggamma."""
+    with mp.workdps(DIGITS):
+        top = mp.loggamma(n + 1)
+        return [top - mp.loggamma(j + 1) - mp.loggamma(n - j + 1) for j in map(int, k)]
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9])
+def test_meanfield_log_weights_on_the_stride_nodes(n):
+    # the coarse scan of magnetization_pmf reads these counts; each
+    # log-weight is a difference of gammaln terms up to gammaln(n + 1) in
+    # size, so it is good to a few ulps of that
+    k = np.append(np.arange((n + 1) // 2, n, math.isqrt(n)), n)
+    log_binomials = log_binomials_direct(n, k)
+    for coupling in (0.5, 1.5):
+        got = _meanfield_log_weights(coupling, n, k)
+        with mp.workdps(DIGITS):
+            truth = [b + mp.mpf(coupling) * (2 * int(j) - n) ** 2 / (2 * (n - 1))
+                     for b, j in zip(log_binomials, k)]
+        error = max(abs(float(t - g)) for t, g in zip(truth, got))
+        assert error <= 4 * np.finfo(float).eps * (float(mp.loggamma(n + 1)) + coupling * n / 2)
 
 
 def mean_field_field_moments(coupling, n):
