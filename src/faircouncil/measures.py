@@ -12,8 +12,10 @@ the votes:
 Behind them stand two laws of the total, and ``state_law`` picks one per
 (model, N): the windowed mean-field Gibbs law at N >= 2, or a
 ``MixtureLaw`` over a belief. Each carries E|S|, E S^2, P(S = s) and a
-sampler of S, which every estimator route reads. A point mass is the one
-atom (0, 1): it and ``DiscreteSymmetric`` are read from their ``atoms``.
+sampler of S, which every estimator route reads. The Gibbs law reads its
+moments from a window ``MOMENT_NATS`` past its peak and its sampler from
+the full ``WINDOW_NATS`` one, each built on first read. A point mass is
+the one atom (0, 1): it and ``DiscreteSymmetric`` are read from ``atoms``.
 
 A continuous belief is uniform or the piecewise-linear density through a
 grid's nodes. Expectations over it take one fixed ``QUAD_NODES``-point
@@ -27,7 +29,7 @@ common-belief tie P(S = 0) read this law, and ``pmf_exact`` shares
 P(K = k) among the C(N, k) outcomes with k yes-votes. ``totals_sampler``
 returns the law's sampler, built once per (model, N); Monte Carlo callers
 draw every worker substream's chunk from it, a mean-field total through the
-guide table of its window, with draws identical to ``Generator.choice``.
+guide table of its full window, with draws identical to ``Generator.choice``.
 """
 
 import math
@@ -335,13 +337,17 @@ def _log_binom(n, k):
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
-def _meanfield_log_weights(coupling, n, k=None):
-    """Log of binomial(n, k) * exp(J s^2 / (2(n-1))), s = 2k - n, at the
-    yes-counts k, by default every k = 0..n. The largest, at s = +-n, is
-    not finite once J n^2 overflows (above about 1.8e308): such a coupling
-    has no law, and it raises."""
+def _check_log_weights(coupling, n):
+    """Refuse a coupling whose largest log-weight, at s = +-n, is not finite:
+    J n^2 overflows above about 1.8e308, and such a coupling has no law."""
     if not math.isfinite(coupling * float(n) ** 2):
         raise ValueError(f"mean-field log-weights overflow at J = {coupling!r}, N = {n}")
+
+
+def _meanfield_log_weights(coupling, n, k=None):
+    """Log of binomial(n, k) * exp(J s^2 / (2(n-1))), s = 2k - n, at the
+    yes-counts k, by default every k = 0..n."""
+    _check_log_weights(coupling, n)
     k = np.arange(n + 1) if k is None else k
     return _log_binom(n, k) + coupling * (2.0 * k - n) ** 2 / (2.0 * (n - 1))
 
@@ -349,35 +355,51 @@ def _meanfield_log_weights(coupling, n, k=None):
 #: Log-weights further than this below the peak come out exactly 0 after
 #: normalization, because ``exp`` underflows to 0 below about -745.
 WINDOW_NATS = 800.0
+#: How far past the peak the moment window reaches (bound in ``_gibbs_half``).
+MOMENT_NATS = 100.0
 
 
-@dataclass(frozen=True, eq=False)
+def _yes_count(s, n):
+    """k = (n + s)/2, or None where n voters cannot total s and P(S = s) = 0."""
+    if not float(s).is_integer():
+        return None
+    k, odd = divmod(n + int(s), 2)
+    return None if odd or not 0 <= k <= n else k
+
+
+def _check_power(power):
+    if power not in (1, 2):
+        raise ValueError(f"a law gives power 1 or 2, got {power}")
+
+
 class MagnetizationPmf:
     """Exact law of the total spin S under the mean-field measure.
 
-    The law is symmetric in s -> -s, so only its half-line mass window is
-    stored: ``half[i] = P(S = lo + 2i)`` for the spins ``lo >= 0`` up to
-    ``lo + 2(len(half) - 1)``, outside of which every P(S = s), s >= 0, is
-    exactly 0 in double precision. ``support`` (the attainable spins -N,
-    -N+2, ..., N) and ``probs`` (the matching probabilities, zeros outside
-    the window, summing to 1 and symmetric in s -> -s) are full-length
-    arrays built on first read.
+    The law is symmetric in s -> -s, so it is kept on half-line windows
+    ``(lo, half)``, ``half[i] = P(S = lo + 2i)``, built by ``_gibbs_half``
+    on first read. The moment window serves ``abs_moment`` and ``prob_of``
+    within it. The full window, outside of which every P(S = s), s >= 0, is
+    exactly 0 in double precision, serves the rest: ``prob_of`` beyond it,
+    ``window()``, ``sampler()``, ``support`` (the spins -N, -N+2, ..., N)
+    and ``probs`` (their probabilities, zeros outside the window).
     """
 
-    n: int
-    lo: int
-    half: np.ndarray
+    def __init__(self, coupling, n):
+        self.coupling, self.n, self._windows = coupling, n, {}
 
-    def _spins(self):
-        return self.lo + 2 * np.arange(self.half.size)
+    def _half(self, reach):
+        if reach not in self._windows:
+            self._windows[reach] = _gibbs_half(self.coupling, self.n, reach)
+        return self._windows[reach]
 
     def window(self):
-        """Spins and probabilities of the window on both sides of zero, in
-        ascending s: the law where its mass can show in a double."""
-        s = self._spins()
-        right = slice(1, None) if self.lo == 0 else slice(None)
+        """Spins and probabilities of the full window on both sides of zero,
+        in ascending s: the law where its mass can show in a double."""
+        lo, half = self._half(WINDOW_NATS)
+        s = lo + 2 * np.arange(half.size)
+        right = slice(1, None) if lo == 0 else slice(None)
         return (np.concatenate([-s[::-1], s[right]]),
-                np.concatenate([self.half[::-1], self.half[right]]))
+                np.concatenate([half[::-1], half[right]]))
 
     @cached_property
     def support(self):
@@ -391,18 +413,25 @@ class MagnetizationPmf:
         return probs
 
     def prob_of(self, s):
-        i, odd = divmod(abs(int(s)) - self.lo, 2)
-        if odd or not 0 <= i < self.half.size:
+        k = _yes_count(s, self.n)
+        if k is None:
             return 0.0
-        return float(self.half[i])
+        lo, half = self._half(MOMENT_NATS)
+        i = (abs(2 * k - self.n) - lo) // 2
+        if i >= half.size:
+            half = self._half(WINDOW_NATS)[1]
+        return float(half[i]) if 0 <= i < half.size else 0.0
 
     def abs_moment(self, power=1):
-        terms = self._spins().astype(float) ** power * self.half
+        """E|S|^power, power 1 or 2, from the moment window."""
+        _check_power(power)
+        lo, half = self._half(MOMENT_NATS)
+        terms = (lo + 2.0 * np.arange(half.size)) ** power * half
         # each s > 0 stands for +-s; s = 0 only for itself
-        return float(2.0 * terms.sum() - (terms[0] if self.lo == 0 else 0.0))
+        return float(2.0 * terms.sum() - (terms[0] if lo == 0 else 0.0))
 
     def sampler(self):
-        """``draw(gen, size)`` of S by its window's guide table (``totals_sampler``)."""
+        """``draw(gen, size)`` of S by its full window's guide table (``totals_sampler``)."""
         spins, mass = self.window()
         cdf = np.cumsum(mass)
         cdf /= cdf[-1]
@@ -423,36 +452,61 @@ class MagnetizationPmf:
 
 def magnetization_pmf(coupling, n):
     """Exact mean-field law of S: P(S=s) proportional to
-    binomial(n, (n+s)/2) * exp(J s^2 / (2(n-1))), kept on its mass window.
-
-    The half-line s >= 0 is scanned on a stride of floor(sqrt(n)) in k =
-    (n+s)/2 with ``_meanfield_log_weights``, whose rounding only moves the
-    window's edge. The window runs between the neighbours of the coarse
-    nodes within ``WINDOW_NATS`` of the maximum: the log-weight is unimodal
-    on the half line, so nothing outside it survives normalization. Inside,
-    the log-weights are a cumulative sum of the per-step increments
-    log((n-k+1)/k) + J (4 s_k - 4) / (2(n-1)) from the window's edge, so no
-    large terms cancel. The window holds O(sqrt(n)) points, O(n^(3/4)) at
-    J = 1 (Ellis and Newman 1978), and its moments agree with 30-digit
-    sums to about 1e-14 relative.
-    """
+    binomial(n, (n+s)/2) * exp(J s^2 / (2(n-1))). Its windows are built on
+    first read, so this call builds none."""
     if not coupling >= 0.0:  # written to fail on NaN, which compares false
         raise ValueError("coupling must be >= 0")
     n = check_population(n)
     if n < 2:
         raise ValueError("magnetization pmf needs n >= 2")
-    nodes = np.append(np.arange((n + 1) // 2, n, math.isqrt(n)), n)
+    _check_log_weights(coupling, n)
+    return MagnetizationPmf(coupling, n)
+
+
+def _gibbs_half(coupling, n, reach):
+    """``(lo, half)`` of the mean-field law of S on s >= 0, from the near
+    edge ``WINDOW_NATS`` below the peak (toward s = 0) to the far edge
+    ``reach`` nats below it.
+
+    The half line is scanned on a stride of floor(sqrt(n)) in k = (n+s)/2
+    with ``_meanfield_log_weights``, whose rounding only moves the edges.
+    The window runs between the neighbours of the coarse nodes within those
+    depths: the log-weight is unimodal on the half line, so it falls further
+    beyond both. Inside, the log-weights are a cumulative sum of the
+    per-step increments log((n-k+1)/k) + J (4 s_k - 4) / (2(n-1)) from the
+    near edge, so no large terms cancel, and a window's unnormalized masses
+    are a prefix of those of any wider one, bit for bit. The window holds
+    O(sqrt(n)) points, O(n^(3/4)) at J = 1 (Ellis and Newman 1978), and its
+    moments agree with 30-digit sums to about 1e-14 relative.
+
+    ``MOMENT_NATS`` = 100 bounds what the moment window cuts. Each of the at
+    most n + 1 cut spins has weight w < e^-100 against the peak's 1, so the
+    cut moves the sums of w and of |s|^p w, p <= 2, by at most (n + 1)
+    e^-100 and (n + 1) n^2 e^-100, while they are at least 1 and 2 (the
+    peak pair +-s*, or at s* = 0 the pair +-2, of weight >= n/(n + 2)). So
+    E|S|, E S^2 and P(S = 0) move by at most (n + 1)(n^2/2 + 1) e^-100
+    relative: 1.9e-17 at n = 1e9, under half an ulp (1.1e-16), which needs
+    98.2 nats there.
+    """
+    stride = math.isqrt(n)
+    # the stride nodes from the middle count on, the last one moved to n
+    nodes = np.arange((n + 1) // 2, n + stride, stride)
+    nodes[-1] = n
     coarse = _meanfield_log_weights(coupling, n, nodes)
-    kept = np.flatnonzero(coarse >= coarse.max() - WINDOW_NATS)
-    first = int(nodes[max(kept[0] - 1, 0)])
-    k = np.arange(first + 1, nodes[min(kept[-1] + 1, nodes.size - 1)] + 1)
-    step = np.log1p((n + 1 - 2 * k) / k) + coupling * (4.0 * (2 * k - n) - 4.0) / (2.0 * (n - 1))
+    peak = coarse.argmax()
+    top = coarse[peak]
+    near = peak - np.count_nonzero(coarse[:peak] >= top - WINDOW_NATS)
+    far = peak + np.count_nonzero(coarse[peak:] >= top - reach) - 1
+    first = int(nodes[max(near - 1, 0)])
+    k = np.arange(first + 1, nodes[min(far + 1, nodes.size - 1)] + 1)
+    two_k = 2 * k
+    step = np.log1p((n + 1 - two_k) / k) + coupling * (4.0 * (two_k - n) - 4.0) / (2.0 * (n - 1))
     half = np.concatenate([[0.0], np.cumsum(step)])
     half -= half.max()
     np.exp(half, out=half)
     lo = 2 * first - n
     half /= 2.0 * half.sum() - (half[0] if lo == 0 else 0.0)
-    return MagnetizationPmf(n=n, lo=lo, half=half)
+    return lo, half
 
 
 def _cdf_drop(k, m, p0, p1):
@@ -533,11 +587,10 @@ class MixtureLaw:
         z = 12/sqrt(N): beyond, the kernel is N|z| to within e^-72 relative
         (Hoeffding), so they give N E|Z| in closed form; below, the rule
         takes the kernel once per node z >= 0, doubled by symmetry."""
+        _check_power(power)
         n = self.n
         if power == 2:
             return n + n * (n - 1) * _abs_moment(self.belief, 2)
-        if power != 1:
-            raise ValueError(f"a mixture law gives power 1 or 2, got {power}")
         kernel = lambda zs: binom_abs_moments(n, (1.0 + zs) / 2.0)
         if isinstance(self.belief, ATOMIC):
             return float(belief_expectation(self.belief, kernel))
@@ -549,8 +602,8 @@ class MixtureLaw:
 
     def prob_of(self, s):
         """P(S = s), from the closed-form law of the yes-count at k and n - k."""
-        k, odd = divmod(self.n + int(s), 2)
-        if odd or not 0 <= k <= self.n:
+        k = _yes_count(s, self.n)
+        if k is None:
             return 0.0
         ks = np.array(sorted({k, self.n - k}), dtype=float)
         return float(_common_belief_law(self.belief, self.n, ks)[0])

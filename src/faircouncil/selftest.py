@@ -17,9 +17,11 @@ from . import estimators, meanfield
 from .commonbelief import distribution_distance, margin_bound_check
 from .core import CommonBelief, Independent, MeanField, RngStream, margin, q_margin
 from .measures import (
+    MOMENT_NATS,
     DiscreteSymmetric,
     PointMassZero,
     UniformSymmetric,
+    _gibbs_half,
     belief_to_field,
     field_to_belief,
     magnetization_pmf,
@@ -96,6 +98,19 @@ def _check_magnetization_vs_enumeration():
             direct = float(probs[totals == s].sum())
             if abs(direct - pmf.probs[idx]) > 1e-10:
                 return False, f"J={j} s={s}: {direct!r} vs {pmf.probs[idx]!r}"
+    return True, ""
+
+
+def _check_moment_window():
+    for j, n in ((0.5, 10**5), (1.0, 10**6), (1.5, 10**5 + 1)):
+        law = magnetization_pmf(j, n)
+        spins, mass = law.window()
+        full = [float(np.sum(np.abs(spins.astype(float)) ** p * mass)) for p in (1, 2)]
+        if not np.allclose([law.abs_moment(1), law.abs_moment(2)], full, rtol=1e-15, atol=0.0):
+            return False, f"J={j} n={n}: the moments differ from the full window's {full!r}"
+        half = _gibbs_half(j, n, MOMENT_NATS)[1]
+        if not math.log(half.max() / half[-1]) >= MOMENT_NATS:
+            return False, f"J={j} n={n}: the moment window ends short of {MOMENT_NATS} nats"
     return True, ""
 
 
@@ -246,6 +261,7 @@ CHECKS = (
     ("measures.magnetization_enumeration", _check_magnetization_vs_enumeration),
     ("measures.field_map", _check_field_map),
     ("measures.sampler_inverse_cdf", _check_sampler_inverse_cdf),
+    ("measures.moment_window", _check_moment_window),
     ("weights.sign_identity", _check_sign_identity),
     ("estimators.bruteforce_margins", _check_moments_vs_bruteforce),
     ("estimators.uniform_closed_form", _check_uniform_closed_form),

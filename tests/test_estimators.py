@@ -295,6 +295,13 @@ def test_mixture_law_gives_powers_one_and_two_only():
         state_law(Independent(), 5).abs_moment(power=3)
 
 
+@pytest.mark.parametrize("power", [0, 3, 1.5])
+def test_gibbs_law_gives_powers_one_and_two_only(power):
+    # the moment window's cut is bounded for s^2 at most
+    with pytest.raises(ValueError, match="power 1 or 2"):
+        state_law(MeanField(0.5), 5).abs_moment(power=power)
+
+
 def _uniform_one_margin(n):
     """E|S| of n voters under Uniform(1), where K is uniform on 0..n:
     (n + 1)/2 for odd n and n (n + 2)/(2 (n + 1)) for even n."""

@@ -41,7 +41,16 @@ from faircouncil.measures import (
     totals_sampler,
     validate_belief,
 )
-from faircouncil.weights import StateSpec, _state_moments
+from faircouncil.weights import (
+    CouncilSpec,
+    StateSpec,
+    _state_moments,
+    council_moments,
+    optimal_weights,
+    state_margin,
+    state_second_moment,
+    state_tie_probability,
+)
 
 from oracles import all_outcomes, meanfield_pmf_by_pair_energy
 
@@ -721,3 +730,104 @@ def test_margin_kernel_runs_once_and_only_below_the_cut(name, n, monkeypatch):
     assert ps.size == measures.QUAD_NODES * below
     assert np.all(2.0 * ps - 1.0 < cut)
     assert value > 0.0
+
+
+OFF_INTEGER_LAWS = {
+    "meanfield": MeanField(0.5),
+    "independent": Independent(),
+    "uniform": CommonBelief(UniformSymmetric(1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(OFF_INTEGER_LAWS))
+def test_prob_of_is_zero_off_the_integers(name):
+    # S is integer-valued; int(s) once read 0.5 and -0.9 as the tie s = 0
+    model = OFF_INTEGER_LAWS[name]
+    law = state_law(model, 10)
+    for s in (0.5, -0.9, 1.9):
+        assert law.prob_of(s) == 0.0
+    k_law = count_law(model, 10)
+    for s in range(-11, 12):
+        direct = k_law[(s + 10) // 2] if s % 2 == 0 and abs(s) <= 10 else 0.0
+        for spin in (s, float(s), np.int64(s)):
+            assert law.prob_of(spin) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def _spy_on_windows(monkeypatch):
+    """The reach of every window ``_gibbs_half`` builds, in call order."""
+    reaches = []
+    build = measures._gibbs_half
+
+    def spy(coupling, n, reach):
+        reaches.append(reach)
+        return build(coupling, n, reach)
+
+    monkeypatch.setattr(measures, "_gibbs_half", spy)
+    return reaches
+
+
+@pytest.mark.parametrize("n", [2, 1000, 1001, 10**5, 10**6 + 1])
+@pytest.mark.parametrize("coupling", [0.5, 1.0, 1.5])
+def test_exact_routes_build_the_moment_window_and_samplers_the_full_one(coupling, n, monkeypatch):
+    reaches = _spy_on_windows(monkeypatch)
+    model = MeanField(coupling)
+    state = StateSpec("s", n, model)
+    state_law(model, n)
+    assert reaches == []
+    routes = {
+        "state_margin": (lambda: state_margin(state), 1),
+        "state_second_moment": (lambda: state_second_moment(state), 1),
+        "state_tie_probability": (lambda: state_tie_probability(state), 1 - n % 2),
+        # one law per state, read three times
+        "council_moments": (lambda: council_moments(CouncilSpec([state])), 1),
+        "optimal_weights": (lambda: optimal_weights(CouncilSpec([state])), 1),
+    }
+    for name, (route, builds) in routes.items():
+        reaches.clear()
+        route()
+        assert reaches == [measures.MOMENT_NATS] * builds, name
+    for name, read in {
+        "totals_sampler": lambda: totals_sampler(model, n),
+        "probs": lambda: magnetization_pmf(coupling, n).probs,
+        "window": lambda: magnetization_pmf(coupling, n).window(),
+    }.items():
+        reaches.clear()
+        read()
+        assert reaches == [measures.WINDOW_NATS], name
+
+
+def test_prob_of_beyond_the_moment_window_reads_the_full_one(monkeypatch):
+    reaches = _spy_on_windows(monkeypatch)
+    n = 10**5
+    law = magnetization_pmf(0.5, n)
+    lo, moment = measures._gibbs_half(0.5, n, measures.MOMENT_NATS)
+    reaches.clear()
+    assert law.prob_of(n) == 0.0
+    assert reaches == [measures.MOMENT_NATS, measures.WINDOW_NATS]
+    # the first spin past the moment window still has mass in the full one
+    s = lo + 2 * moment.size
+    assert 0.0 < law.prob_of(s) == law.probs[(s + n) // 2]
+    assert reaches == [measures.MOMENT_NATS, measures.WINDOW_NATS]
+
+
+@pytest.mark.parametrize("n", [2, 3, 24, 369, 1000, 1001, 99996, 10**6 + 1, 10**7 + 1])
+@pytest.mark.parametrize("coupling", [0.0, 0.5, 0.99, 1.0, 1.01, 1.5, 3.0, 4.0])
+def test_moment_window_agrees_with_the_full_window(coupling, n):
+    # the two windows share their near edge, so the moment window's
+    # unnormalized masses are a prefix of the full window's; only the two
+    # normalizing sums, pairwise sums of different lengths, round apart; a
+    # subnormal mass has one absolute unit
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    lo, moment = measures._gibbs_half(coupling, n, measures.MOMENT_NATS)
+    full_lo, full = measures._gibbs_half(coupling, n, measures.WINDOW_NATS)
+    assert lo == full_lo and moment.size <= full.size
+    assert np.all(np.abs(moment - full[: moment.size]) <= 4 * eps * full[: moment.size] + tiny)
+    law = magnetization_pmf(coupling, n)
+    spins, mass = law.window()
+    for power in (1, 2):
+        direct = float(np.sum(np.abs(spins.astype(float)) ** power * mass))
+        assert law.abs_moment(power=power) == pytest.approx(direct, rel=1e-15, abs=0.0)
+    for s in {0, 1, 2, n - 1, n, -n}:
+        i, odd = divmod(abs(s) - lo, 2)
+        direct = full[i] if (s + n) % 2 == 0 and not odd and 0 <= i < full.size else 0.0
+        assert abs(law.prob_of(s) - direct) <= 4 * eps * direct + tiny

@@ -289,3 +289,10 @@ def test_mean_field_moments_through_the_field(coupling, n):
         assert value == 0.0
     else:
         assert _relative_error(value, tie) <= 1e-12
+
+
+@pytest.mark.parametrize("coupling, n", [(1.01, 10**7 + 1), (1.1, 10**6)])
+def test_mean_field_second_moment_just_above_the_critical_coupling(coupling, n):
+    second, _ = mean_field_field_moments(coupling, n)
+    value = state_second_moment(StateSpec("mf", n, MeanField(coupling)))
+    assert _relative_error(value, second) <= 1e-12
