@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_outcome, majority_sign
-from .weights import DeltaEstimate, _as_weights, _council_trials, council_moments
+from .weights import DeltaEstimate, _as_weights, _council_trials, _state_samplers, council_moments
 
 
 def state_delegate_vote(state_outcome):
@@ -82,12 +82,17 @@ def simulate(council, weights, trials, rng, workers=1):
     margin, and the per-state delegate votes. Trials are partitioned over
     worker substreams, so fixed (seed, workers) reproduces every number.
     """
+    return _simulate(council, weights, trials, rng, workers)
+
+
+def _simulate(council, weights, trials, rng, workers, samplers=None):
+    """``simulate``, drawing from the given ``_state_samplers`` if any."""
     if trials < 1:
         raise ValueError("need at least one trial")
     w = _as_weights(weights, council)
     if np.any(w < 0.0):
         raise ValueError("council weights must be >= 0")
-    estimate, disagree, margin_sum, yes_counts = _council_trials(council, w, trials, rng, workers)
+    estimate, disagree, margin_sum, yes_counts = _council_trials(council, w, trials, rng, workers, samplers)
     count = estimate.trials
     rate = disagree / count
     return SimulationResult(
@@ -133,15 +138,17 @@ def compare_weight_rules(council, trials, rng, workers=1):
     Each rule fixes only a direction; the deficit is scale-sensitive even
     though the induced voting system is not, so every rule is first scaled
     to the deficit-minimizing point on its own ray before being simulated.
+    The rules' simulations share one sampler per state.
     """
     table = council_moments(council)
+    samplers = _state_samplers(council)
     rows = []
     for rule in RULES:
         direction = _rule_direction(council, table, rule)
         scale = table.ray_scale(direction)
         scaled = direction * scale
         semi = table.deficit(scaled).value
-        sim = simulate(council, scaled, trials, rng, workers=workers)
+        sim = _simulate(council, scaled, trials, rng, workers, samplers)
         rows.append(
             RuleComparison(
                 rule=rule,

@@ -27,9 +27,9 @@ quadrature: on each cell of a continuous belief, P(K = k) is a difference
 of binomial cdfs (regularized incomplete betas). Exact enumeration and the
 common-belief tie P(S = 0) read this law, and ``pmf_exact`` shares
 P(K = k) among the C(N, k) outcomes with k yes-votes. ``totals_sampler``
-returns the law's sampler, built once per (model, N); Monte Carlo callers
-draw every worker substream's chunk from it, a mean-field total through the
-guide table of its full window, with draws identical to ``Generator.choice``.
+returns the law's sampler, built once per (model, N) and command; Monte
+Carlo callers draw every worker substream's chunk from it, a mean-field
+total by the guide table of its full window's cdf, with no scipy import.
 """
 
 import math
@@ -58,9 +58,9 @@ QUAD_MAX_NODES = 4096
 @cache
 def _special():
     """``scipy.special``, imported at the first call. Its import costs about
-    as much start-up as numpy's, and the Monte Carlo routes of models with
-    no mean-field law never read it; every scipy name the library uses is
-    read through here."""
+    as much start-up as numpy's, and no Monte Carlo route reads it: the
+    mean-field log-weights take ``math.lgamma``. Every scipy name the
+    library uses is read through here."""
     import scipy.special
 
     return scipy.special
@@ -332,9 +332,10 @@ def belief_to_field(zeta):
 
 
 def _log_binom(n, k):
-    gammaln = _special().gammaln
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    """log C(n, k) at the yes-counts k, from ``math.lgamma``: no scipy."""
+    top = math.lgamma(n + 1.0)
+    return np.array([top - math.lgamma(j + 1.0) - math.lgamma(n - j + 1.0)
+                     for j in np.asarray(k, dtype=float).tolist()])
 
 
 def _check_log_weights(coupling, n):
@@ -432,10 +433,16 @@ class MagnetizationPmf:
 
     def sampler(self):
         """``draw(gen, size)`` of S by its full window's guide table (``totals_sampler``)."""
-        spins, mass = self.window()
-        cdf = np.cumsum(mass)
+        lo, half = self._half(WINDOW_NATS)
+        h = half.size
+        cdf = np.empty(2 * h - (lo == 0))
+        cdf[:h] = half[::-1]
+        cdf[h:] = half[1:] if lo == 0 else half
+        np.cumsum(cdf, out=cdf)
         cdf /= cdf[-1]
-        buckets, table = _guide_table(cdf, mass.max())
+        buckets, table = _guide_table(cdf, half.max())
+        # index i holds spin 2i - shift, past the middle plus gap when lo > 1
+        shift, gap = 2 * (h - 1) + lo, 2 * lo - 2
 
         def draw(gen, size):
             u = gen.random(size)
@@ -445,7 +452,10 @@ class MagnetizationPmf:
             ambiguous = idx < 0
             if ambiguous.any():
                 idx[ambiguous] = cdf.searchsorted(u[ambiguous], side="right")
-            return spins[idx]
+            spins = 2 * idx.astype(np.int64) - shift
+            if gap > 0:
+                spins[idx >= h] += gap
+            return spins
 
         return draw
 
@@ -468,14 +478,15 @@ def _gibbs_half(coupling, n, reach):
     edge ``WINDOW_NATS`` below the peak (toward s = 0) to the far edge
     ``reach`` nats below it.
 
-    The half line is scanned on a stride of floor(sqrt(n)) in k = (n+s)/2
-    with ``_meanfield_log_weights``, whose rounding only moves the edges.
-    The window runs between the neighbours of the coarse nodes within those
-    depths: the log-weight is unimodal on the half line, so it falls further
-    beyond both. Inside, the log-weights are a cumulative sum of the
-    per-step increments log((n-k+1)/k) + J (4 s_k - 4) / (2(n-1)) from the
-    near edge, so no large terms cancel, and a window's unnormalized masses
-    are a prefix of those of any wider one, bit for bit. The window holds
+    The half line is scanned outward from the peak (``_window_edges``) on a
+    stride of floor(sqrt(n)) in k = (n+s)/2 with ``_meanfield_log_weights``,
+    whose rounding only moves the edges. The window runs between the
+    neighbours of the coarse nodes within those depths: the log-weight is
+    unimodal on the half line, so it falls further beyond both. Inside, the
+    log-weights are a cumulative sum, taken in place, of the per-step
+    increments log((n-k+1)/k) + J (4 s_k - 4) / (2(n-1)) from the near edge,
+    so no large terms cancel, and a window's unnormalized masses are a
+    prefix of those of any wider one, bit for bit. The window holds
     O(sqrt(n)) points, O(n^(3/4)) at J = 1 (Ellis and Newman 1978), and its
     moments agree with 30-digit sums to about 1e-14 relative.
 
@@ -488,25 +499,62 @@ def _gibbs_half(coupling, n, reach):
     relative: 1.9e-17 at n = 1e9, under half an ulp (1.1e-16), which needs
     98.2 nats there.
     """
-    stride = math.isqrt(n)
-    # the stride nodes from the middle count on, the last one moved to n
-    nodes = np.arange((n + 1) // 2, n + stride, stride)
-    nodes[-1] = n
-    coarse = _meanfield_log_weights(coupling, n, nodes)
-    peak = coarse.argmax()
-    top = coarse[peak]
-    near = peak - np.count_nonzero(coarse[:peak] >= top - WINDOW_NATS)
-    far = peak + np.count_nonzero(coarse[peak:] >= top - reach) - 1
-    first = int(nodes[max(near - 1, 0)])
-    k = np.arange(first + 1, nodes[min(far + 1, nodes.size - 1)] + 1)
-    two_k = 2 * k
-    step = np.log1p((n + 1 - two_k) / k) + coupling * (4.0 * (two_k - n) - 4.0) / (2.0 * (n - 1))
-    half = np.concatenate([[0.0], np.cumsum(step)])
+    first, last = _window_edges(coupling, n, reach)
+    k = np.arange(first + 1, last + 1, dtype=float)
+    half = np.zeros(k.size + 1)
+    # the increments in place, from 4 (2k - n) - 4 = -4 (n + 1 - 2k), whose
+    # integers are exact below 2^53
+    scratch = np.arange(8.0 * first + 4 - 4 * n, 8.0 * last + 4 - 4 * n, 8.0)
+    step = np.divide(scratch, -4.0, out=half[1:])
+    np.log1p(np.divide(step, k, out=step), out=step)
+    scratch *= coupling
+    step += np.divide(scratch, 2.0 * (n - 1), out=scratch)
+    np.cumsum(step, out=step)
     half -= half.max()
     np.exp(half, out=half)
     lo = 2 * first - n
     half /= 2.0 * half.sum() - (half[0] if lo == 0 else 0.0)
     return lo, half
+
+
+def _window_edges(coupling, n, reach):
+    """The yes-counts (first, last) at the ends of ``_gibbs_half``'s window,
+    from a run of stride nodes around the peak's (the first for J <= 1, else
+    that of m = tanh(J m n/(n - 1)), which Newton steps from m = 1 descend
+    onto), grown until its ends lie below the two depths. The log-weight is
+    unimodal, so the run gives the edges of a scan of every node."""
+    stride = math.isqrt(n)
+    # the stride nodes from the middle count on, the last one moved to n
+    nodes = np.arange((n + 1) // 2, n + stride, stride)
+    nodes[-1] = n
+    m, a = 0.0, coupling * n / (n - 1)
+    if coupling > 1.0:
+        m, move = 1.0, 1.0
+        while abs(move) * n >= stride:
+            t = math.tanh(a * m)
+            move = (t - m) / (a * (1.0 - t * t) - 1.0)
+            m -= move
+    start = min(max(round((n * m / 2.0 - n % 2 / 2.0) / stride), 0), nodes.size - 1)
+    # the first run reaches depth d by twice the curvature at the peak, or by
+    # the quartic law where that is 0, and half as far again toward s = 0
+    q = 1.0 - m * m
+    curvature = max(2.0 * abs(1.0 - a * q), 1e-300)
+    width = lambda d: 3 + int(min(math.sqrt(d * q / curvature), (12.0 * d * n) ** 0.25 / 2.0))
+    begin, end = max(start - 3 * width(WINDOW_NATS) // 2, 0), min(start + width(reach), nodes.size)
+    while True:
+        # a list: these few log-weights are cheaper in Python than in numpy
+        coarse = _meanfield_log_weights(coupling, n, nodes[begin:end]).tolist()
+        top = max(coarse)
+        grow_near = begin > 0 and coarse[0] >= top - WINDOW_NATS
+        grow_far = end < nodes.size and coarse[-1] >= top - reach
+        if not (grow_near or grow_far):
+            break
+        run = end - begin
+        begin, end = max(begin - run * grow_near, 0), min(end + run * grow_far, nodes.size)
+    peak = coarse.index(top)
+    near = begin + peak - sum(v >= top - WINDOW_NATS for v in coarse[:peak])
+    far = begin + peak + sum(v >= top - reach for v in coarse[peak:]) - 1
+    return int(nodes[max(near - 1, 0)]), int(nodes[min(far + 1, nodes.size - 1)])
 
 
 def _cdf_drop(k, m, p0, p1):
@@ -611,14 +659,18 @@ class MixtureLaw:
     def sampler(self):
         """``draw(gen, size)`` of S: a belief value Z, then Binomial(n, (1 + Z)/2)."""
         n = self.n
+        # 2k - n in the int64 buffer of the binomial draws
+        spins = lambda k: np.subtract(np.multiply(k, 2, out=k), n, out=k)
         if isinstance(self.belief, PointMassZero):
             # bit-identical to the mixture's draws, and faster with a scalar p
-            return lambda gen, size: 2 * gen.binomial(n, 0.5, size=size).astype(np.int64) - n
+            return lambda gen, size: spins(gen.binomial(n, 0.5, size=size))
         draw_z = belief_sampler(self.belief)
 
         def draw(gen, size):
-            zs = draw_z(gen, size)
-            return 2 * gen.binomial(n, (1.0 + zs) / 2.0).astype(np.int64) - n
+            p = draw_z(gen, size)
+            p += 1.0
+            p /= 2.0
+            return spins(gen.binomial(n, p))
 
         return draw
 
@@ -700,19 +752,19 @@ def belief_sampler(belief):
     cell_mass = widths * (dens[:-1] + dens[1:]) / 2.0
     cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
     cum /= cum[-1]
+    # per cell: t in [0, 1] solves d0 t + (d1 - d0) t^2/2 = r, or t = r if flat
+    d0, d1, slope = dens[:-1], dens[1:], np.diff(dens)
+    d0_sq, bend = d0**2, slope * (2.0 * ((d0 + d1) / 2.0))
+    curved = np.abs(slope) > 1e-12 * np.maximum(d0, d1)
+    divisor = np.where(slope == 0, 1.0, slope)
+    safe_mass = np.where(cell_mass > 0, cell_mass, 1.0)
 
     def draw(gen, size):
         u = gen.random(size)
         cell = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, widths.size - 1)
-        # within cell: solve d0*t + (d1-d0)*t^2/2 = r for t in [0, 1]
-        r = (u - cum[cell]) / np.where(cell_mass[cell] > 0, cell_mass[cell], 1.0)
-        d0 = dens[cell]
-        d1 = dens[cell + 1]
-        avg = (d0 + d1) / 2.0
-        slope = d1 - d0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            disc = np.sqrt(np.maximum(d0**2 + slope * (2.0 * avg) * r, 0.0))
-            t = np.where(np.abs(slope) > 1e-12 * np.maximum(d0, d1), (disc - d0) / np.where(slope == 0, 1.0, slope), r)
+        r = (u - cum[cell]) / safe_mass[cell]
+        disc = np.sqrt(np.maximum(d0_sq[cell] + bend[cell] * r, 0.0))
+        t = np.where(curved[cell], (disc - d0[cell]) / divisor[cell], r)
         t = np.clip(t, 0.0, 1.0)
         return nodes[cell] + t * widths[cell]
 
@@ -726,6 +778,8 @@ def sample_belief(belief, gen, size):
 
 #: Cap on the guide table's bucket count, a power of two: 256 KB of int32.
 GUIDE_MAX_BUCKETS = 2**16
+#: cdf values that ``_guide_table`` bins at a time: 16 MB of temporaries.
+GUIDE_CHUNK = 2**20
 
 
 def _guide_table(cdf, peak):
@@ -744,7 +798,8 @@ def _guide_table(cdf, peak):
     ceil(cdf * m) counts the cdf values in each ((i-1)/m, i/m], and its
     cumulative sum at j is #(cdf <= j/m): O(len(cdf) + m), no search."""
     buckets = min(2 ** math.ceil(math.log2(16 / peak)), GUIDE_MAX_BUCKETS)
-    counts = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
+    counts = sum(np.bincount(np.ceil(cdf[i : i + GUIDE_CHUNK] * buckets).astype(np.intp),
+                             minlength=buckets + 1) for i in range(0, cdf.size, GUIDE_CHUNK))
     table = np.cumsum(counts[:buckets], dtype=np.int32)
     table[counts[1 : buckets + 1] > 1] = -1
     return buckets, table
@@ -755,17 +810,19 @@ def totals_sampler(model, n):
 
     Everything that depends only on (model, n) is built once, by the
     ``sampler()`` of its ``state_law``: a mixture's belief sampler, and for
-    the mean-field Gibbs law the cdf of the window with its guide table.
-    The cdf is the cumulative sum that ``gen.choice(support, p=probs)``
-    forms; the zeros outside the window add exactly, so it equals that of
-    the full law wherever it rises. Each draw takes one u = ``gen.random()``
-    and returns the spin at ``cdf.searchsorted(u, side="right")``, as
-    ``gen.choice`` does: the guide table gives that index in one lookup and
-    one comparison, and only a u in a bucket that two or more cdf values
-    split is searched. u is a multiple of 2^-53 and the bucket count a power
-    of two, so the bucket of u is exact and the draws are bit-identical to
-    ``gen.choice``. The table is int32 and capped at ``GUIDE_MAX_BUCKETS``
-    = 2^16 entries, 256 KB per sampler.
+    the mean-field Gibbs law the cdf of the window with its guide table, all
+    it keeps: a drawn index maps to its spin by arithmetic. A command builds
+    each state's sampler once. The cdf is the cumulative sum that
+    ``gen.choice(support, p=probs)`` forms; the zeros outside the window add
+    exactly, so it equals that of the full law wherever it rises. Each draw
+    takes one u = ``gen.random()`` and returns the spin at
+    ``cdf.searchsorted(u, side="right")``, as ``gen.choice`` does: the guide
+    table gives that index in one lookup and one comparison, and only a u in
+    a bucket that two or more cdf values split is searched. u is a multiple
+    of 2^-53 and the bucket count a power of two, so the bucket of u is
+    exact and the draws are bit-identical to ``gen.choice``. The table is
+    int32 and capped at ``GUIDE_MAX_BUCKETS`` = 2^16 entries, 256 KB per
+    sampler.
     """
     check_population(n)
     return state_law(model, n).sampler()

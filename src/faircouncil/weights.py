@@ -264,14 +264,19 @@ def _delta_exact(council, weights):
     return DeltaEstimate(value=max(value, 0.0), method=EXACT)
 
 
-def _council_trials(council, w, trials, rng, workers):
+def _state_samplers(council):
+    """Each state's ``totals_sampler``, in council order."""
+    return [totals_sampler(s.model, s.population) for s in council.states]
+
+
+def _council_trials(council, w, trials, rng, workers, samplers=None):
     """The council's Monte Carlo trials, pooled by ``core.pooled_mean``.
-    Each state's sampler is built once; every worker substream draws the
-    states in council order, so fixed (seed, workers) reproduces every
-    number. Returns the deficit estimate, the number of trials whose council
-    decision disagrees with the popular vote, the summed popular margin
-    |P| and the per-state counts of delegate yes votes."""
-    samplers = [totals_sampler(s.model, s.population) for s in council.states]
+    Each state's sampler is built once, or passed in; every worker substream
+    draws the states in council order, so fixed (seed, workers) reproduces
+    every number. Returns the deficit estimate, the number of trials whose
+    council decision disagrees with the popular vote, the summed popular
+    margin |P| and the per-state counts of delegate yes votes."""
+    samplers = samplers or _state_samplers(council)
     threshold = (2.0 * council.quota - 1.0) * float(w.sum())
     disagree = 0
     margin_sum = 0.0

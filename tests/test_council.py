@@ -20,6 +20,7 @@ from faircouncil import (
     simulate,
     state_delegate_vote,
 )
+from faircouncil import weights as weights_module
 from faircouncil.core import signs
 from faircouncil.measures import _totals_with_generator
 from faircouncil.weights import state_second_moment
@@ -211,6 +212,29 @@ class TestCompareRules:
         rows = {r.rule: r for r in compare_weight_rules(IND135, 5_000, RngStream(29))}
         for rule, row in rows.items():
             assert row.delta_semi_exact >= rows["optimal"].delta_semi_exact - 1e-12
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rules_share_one_sampler_per_state(self, workers, monkeypatch):
+        council = CouncilSpec([
+            ("ind", 5, Independent()),
+            ("mf", 101, MeanField(1.0)),
+            ("mf-high", 9, MeanField(1.5)),
+            ("cb", 7, CommonBelief(UniformSymmetric(0.6))),
+        ])
+        built = []
+        build = weights_module.totals_sampler
+
+        def spy(model, n):
+            built.append((model, n))
+            return build(model, n)
+
+        monkeypatch.setattr(weights_module, "totals_sampler", spy)
+        rows = compare_weight_rules(council, 3000, RngStream(40, 2), workers=workers)
+        assert built == [(s.model, s.population) for s in council.states]
+        # each rule's simulation is the one a separate call gives
+        for row in rows:
+            assert row.simulation == simulate(council, row.weights, 3000, RngStream(40, 2),
+                                              workers=workers)
 
 
 MIXED = CouncilSpec([

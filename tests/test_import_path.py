@@ -160,3 +160,45 @@ def test_guard_finds_scipy_imports_that_run_at_import_time():
 def test_no_module_imports_scipy_at_import_time(path):
     lines = _scipy_imports_at_import_time(path.read_text())
     assert not lines, f"{path.name} imports scipy at import time on line(s) {lines}"
+
+
+#: A council with every model type: mean field at three couplings, one of
+#: them on a single voter, and every kind of common belief.
+EVERY_MODEL_COUNCIL = {"quota": 0.5, "states": NUMPY_COUNCIL["states"] + [
+    {"name": "mf-half", "population": 101, "model": {"type": "mean_field", "coupling": 0.5}},
+    {"name": "mf-one", "population": 1001, "model": {"type": "mean_field", "coupling": 1.0}},
+    {"name": "mf-three-halves", "population": 60, "model": {"type": "mean_field", "coupling": 1.5}},
+    {"name": "point", "population": 11,
+     "model": {"type": "common_belief", "belief": {"type": "point_mass_zero"}}},
+]}
+
+#: Runs every Monte Carlo route on the council at argv[1], then the CLI's
+#: ``council-sim --weights`` on it and a mean-field ``margin --method
+#: monte-carlo``, and prints the scipy modules loaded by the end.
+RUN_MONTE_CARLO = """
+import json, sys
+from faircouncil import RngStream, council, estimators, weights
+from faircouncil.cli import main, parse_council
+path = sys.argv[1]
+spec = parse_council(json.load(open(path)))
+w = [float(s.population) ** 0.5 for s in spec.states]
+council.simulate(spec, w, 2000, RngStream(3), workers=2)
+weights.delta(spec, w, mode="monte_carlo", trials=2000, rng=RngStream(4))
+for state in spec.states:
+    estimators.expected_margin_mc(state.model, state.population, 2000, RngStream(5))
+codes = [main(["council-sim", "--weights", ",".join(map(str, w)), "--trials", "2000",
+               "--config", path]),
+         main(["margin", "--method", "monte-carlo", "--model", "mean-field", "--J", "1",
+               "--N", "100001", "--trials", "2000"])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_monte_carlo_routes_of_every_model_leave_scipy_out(tmp_path):
+    config = _config(tmp_path, EVERY_MODEL_COUNCIL)
+    proc = subprocess.run([sys.executable, "-c", RUN_MONTE_CARLO, config], capture_output=True,
+                          text=True, env=_env(), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.rstrip("\n").rsplit("\n", 1)[-1])
+    assert report == {"codes": [0, 0], "scipy": []}

@@ -831,3 +831,30 @@ def test_moment_window_agrees_with_the_full_window(coupling, n):
         i, odd = divmod(abs(s) - lo, 2)
         direct = full[i] if (s + n) % 2 == 0 and not odd and 0 <= i < full.size else 0.0
         assert abs(law.prob_of(s) - direct) <= 4 * eps * direct + tiny
+
+
+def _full_scan_edges(coupling, n, reach):
+    """The window's end counts from every stride node's log-weight: the
+    neighbours of the first node within ``WINDOW_NATS`` of the peak and of
+    the last within ``reach`` of it."""
+    stride = math.isqrt(n)
+    nodes = np.arange((n + 1) // 2, n + stride, stride)
+    nodes[-1] = n
+    coarse = _meanfield_log_weights(coupling, n, nodes)
+    peak = int(coarse.argmax())
+    top = coarse[peak]
+    near = peak - np.count_nonzero(coarse[:peak] >= top - measures.WINDOW_NATS)
+    far = peak + np.count_nonzero(coarse[peak:] >= top - reach) - 1
+    return int(nodes[max(near - 1, 0)]), int(nodes[min(far + 1, nodes.size - 1)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 24, 369, 1000, 1001, 99996, 10**6 + 1, 10**9])
+@pytest.mark.parametrize("coupling", [0.0, 0.5, 0.99, 1.0, 1.001, 1.01, 1.5, 3.0, 8.0])
+def test_outward_scan_finds_the_full_scan_edges(coupling, n):
+    for reach in (measures.MOMENT_NATS, measures.WINDOW_NATS):
+        first, last = _full_scan_edges(coupling, n, reach)
+        assert measures._window_edges(coupling, n, reach) == (first, last), reach
+        if n <= 10**6 + 1:
+            # windows at n = 1e9 run to 1e7 points and more; the edges suffice
+            lo, half = measures._gibbs_half(coupling, n, reach)
+            assert (lo, half.size) == (2 * first - n, last - first + 1), reach
