@@ -1,11 +1,11 @@
 """Expected-margin estimators: exact, Monte Carlo, and asymptotic routes.
 
 The expected margin E|S|, S the total spin of a state, is the quantity that
-fixes the state's fair council weight. This module keeps the routes and
-the exact routes' budget; each route reads the one law that
-``measures.state_law`` picks. The exact route takes its E|S|, Monte Carlo
-draws every worker substream from its sampler, built once per call by
-``measures.totals_sampler``, and pools them in ``core.pooled_mean``.
+fixes the state's fair council weight. This module keeps the routes; each
+reads the one law that ``measures.state_law`` picks, and every exact
+per-state number, here and in ``weights``, comes from ``exact_law``. Monte
+Carlo draws every worker substream from the law's sampler, built once per
+call by ``measures.totals_sampler``, and pools them in ``core.pooled_mean``.
 """
 
 import math
@@ -24,6 +24,7 @@ from .core import (
 from . import meanfield
 # the binomial kernel and its Boost wrappers are also read from this module
 from .measures import (
+    DEFAULT_POPULATION_BUDGET,
     _abs_moment,
     _binom_cdf,
     _binom_pmf,
@@ -34,16 +35,10 @@ from .measures import (
     validate_model,
 )
 
-#: The exact routes' documented domain, read by ``check_exact_route`` alone;
-#: beyond it they refuse. Within it the binomial routes cost O(1) per success
-#: probability, and the mean-field law its mass window: O(sqrt(N)) points,
-#: O(N^(3/4)) at J = 1.
-DEFAULT_POPULATION_BUDGET = 10**9
-
-
-def check_exact_route(model, n):
-    """Raise ValueError unless the exact routes take (model, n): a valid
-    model, a whole n >= 1 and n within ``DEFAULT_POPULATION_BUDGET``."""
+def exact_law(model, n):
+    """The ``state_law`` of (model, n), once the exact routes take it: a
+    valid model, a whole n >= 1 and n within ``DEFAULT_POPULATION_BUDGET``;
+    else ValueError. Every exact per-state number is read from it."""
     validate_model(model)
     check_population(n)
     if n > DEFAULT_POPULATION_BUDGET:
@@ -51,12 +46,12 @@ def check_exact_route(model, n):
             f"population {n} exceeds the exact-route budget {DEFAULT_POPULATION_BUDGET}; "
             "use the Monte Carlo or asymptotic estimator"
         )
+    return state_law(model, n)
 
 
 def expected_margin_exact(model, n):
-    """Exact E|S| for the model at population n, from its ``state_law``."""
-    check_exact_route(model, n)
-    value = state_law(model, n).abs_moment()
+    """Exact E|S| for the model at population n, from its ``exact_law``."""
+    value = exact_law(model, n).abs_moment()
     return MarginEstimate(value=value, std_error=0.0, method=EXACT, samples=0)
 
 

@@ -32,7 +32,8 @@ def solve_cj(coupling, full_output=False):
     """Positive solution C of tanh(J C) = C for J > 1, by bisection.
 
     tanh(J c) - c is positive at the lower bracket (its slope at 0 exceeds
-    one) and negative at c = 1, so bisection cannot escape (0, 1); the
+    one) and negative at c = 1, or zero once tanh(J) rounds to 1 (J above
+    about 18.7), so bisection cannot escape (0, 1]; the
     bracket is halved until it is tighter than 1e-15, and the residual is
     checked against 1e-12.
     """
@@ -46,7 +47,7 @@ def solve_cj(coupling, full_output=False):
         return math.tanh(j * c) - c
 
     lo, hi = _BRACKET_FLOOR, 1.0
-    if not (f(lo) > 0.0 > f(hi)):
+    if not (f(lo) > 0.0 >= f(hi)):
         raise SubcriticalCouplingError(f"no sign change on ({lo}, {hi}) for J={j}")
     iterations = 0
     while hi - lo > 1e-15:

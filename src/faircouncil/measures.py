@@ -53,6 +53,10 @@ QUAD_NODES = 64
 #: No rule has this many nodes: the benchmark's tracer counts a Gauss-Legendre
 #: rule this large as a cap hit, so it stays above ``QUAD_NODES``.
 QUAD_MAX_NODES = 4096
+#: The exact routes' domain (``estimators.exact_law``) and the largest N of a
+#: mean-field law, whose mass window holds O(sqrt(N)) points, O(N^(3/4)) at
+#: J = 1; the binomial routes cost O(1) per success probability.
+DEFAULT_POPULATION_BUDGET = 10**9
 
 
 @cache
@@ -463,12 +467,16 @@ class MagnetizationPmf:
 def magnetization_pmf(coupling, n):
     """Exact mean-field law of S: P(S=s) proportional to
     binomial(n, (n+s)/2) * exp(J s^2 / (2(n-1))). Its windows are built on
-    first read, so this call builds none."""
+    first read, so this call builds none; past ``DEFAULT_POPULATION_BUDGET``,
+    where they outgrow memory, it refuses."""
     if not coupling >= 0.0:  # written to fail on NaN, which compares false
         raise ValueError("coupling must be >= 0")
     n = check_population(n)
     if n < 2:
         raise ValueError("magnetization pmf needs n >= 2")
+    if n > DEFAULT_POPULATION_BUDGET:
+        raise ValueError(f"mean-field population {n} exceeds the budget "
+                         f"{DEFAULT_POPULATION_BUDGET} of its law's window")
     _check_log_weights(coupling, n)
     return MagnetizationPmf(coupling, n)
 

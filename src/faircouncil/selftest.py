@@ -15,7 +15,7 @@ import numpy as np
 
 from . import estimators, meanfield
 from .commonbelief import distribution_distance, margin_bound_check
-from .core import CommonBelief, Independent, MeanField, RngStream, margin, q_margin
+from .core import CommonBelief, Independent, MeanField, RngStream, margin, q_margin, signs
 from .measures import (
     MOMENT_NATS,
     DiscreteSymmetric,
@@ -51,6 +51,9 @@ def _models():
     ]
 
 
+_FAIR_COINS = ("independent", "belief:point_mass", "meanfield(0)")
+
+
 def _all_outcomes(n):
     return np.array(list(itertools.product((-1, 1), repeat=n)), dtype=np.int8)
 
@@ -69,21 +72,42 @@ def _check_outcome_primitives():
     return True, ""
 
 
-def _check_pmf_structure():
+def _check_outcome_space():
+    """One walk of the 2^n outcomes per model and n = 1..8: the pmf sums to
+    1 and is flip-symmetric, E S = 0, E(S chi) = E|S|, the exact routes'
+    E|S|, E S^2 and P(S = 0) match, and ``_FAIR_COINS`` give each outcome
+    2^-n; then the central-binomial closed form."""
     for label, model in _models():
         for n in range(1, 9):
             outcomes = _all_outcomes(n)
             probs = np.array([pmf_exact(model, o) for o in outcomes])
+            totals = outcomes.sum(axis=1, dtype=np.int64)
             if abs(probs.sum() - 1.0) > 1e-10:
                 return False, f"{label} n={n}: pmf sums to {probs.sum()!r}"
-            flipped = np.array([pmf_exact(model, -o) for o in outcomes])
-            if np.max(np.abs(probs - flipped)) > 1e-14:
+            # -o sits at the walk's mirrored index
+            if np.max(np.abs(probs - probs[::-1])) > 1e-14:
                 return False, f"{label} n={n}: sign-flip symmetry broken"
-    for n in range(1, 9):
-        for model in (MeanField(0.0), CommonBelief(PointMassZero())):
-            p = pmf_exact(model, np.ones(n, dtype=np.int8))
-            if abs(p - 0.5**n) > 1e-14:
-                return False, f"reduction to independent broken at n={n}"
+            if label in _FAIR_COINS and np.max(np.abs(probs - 0.5**n)) > 1e-14:
+                return False, f"{label}: reduction to independent broken at n={n}"
+            abs_s = float(probs @ np.abs(totals))
+            mean_spin = float(probs @ totals)
+            if abs(mean_spin) > 1e-12:
+                return False, f"{label} n={n}: E S = {mean_spin!r}"
+            s_chi = float(probs @ (totals * signs(totals)))
+            if abs(s_chi - abs_s) > 1e-12:
+                return False, f"{label} n={n}: E(S chi) = {s_chi!r} != E|S| = {abs_s!r}"
+            law = state_law(model, n)
+            exact = (estimators.expected_margin_exact(model, n).value,
+                     law.abs_moment(power=2), law.prob_of(0))
+            brute = (abs_s, probs @ totals**2, probs @ (totals == 0))
+            for name, b, e in zip(("E|S|", "E S^2", "P(S=0)"), brute, exact):
+                if abs(b - e) > 1e-9:
+                    return False, f"{label} n={n} {name}: {b!r} vs {e!r}"
+    for m in (3, 8, 40):
+        closed = 2 * m * math.comb(2 * m, m) / 4.0**m
+        exact = estimators.expected_margin_exact(Independent(), 2 * m).value
+        if abs(closed - exact) > 1e-9:
+            return False, f"central-binomial closed form broken at n={2*m}"
     return True, ""
 
 
@@ -111,44 +135,6 @@ def _check_moment_window():
         half = _gibbs_half(j, n, MOMENT_NATS)[1]
         if not math.log(half.max() / half[-1]) >= MOMENT_NATS:
             return False, f"J={j} n={n}: the moment window ends short of {MOMENT_NATS} nats"
-    return True, ""
-
-
-def _check_sign_identity():
-    for label, model in _models():
-        for n in (3, 6, 8):
-            outcomes = _all_outcomes(n)
-            probs = np.array([pmf_exact(model, o) for o in outcomes])
-            totals = outcomes.sum(axis=1, dtype=np.int64).astype(float)
-            chi = np.where(totals > 0, 1.0, -1.0)
-            mean_spin = float(np.dot(probs, totals))
-            s_chi = float(np.dot(probs, totals * chi))
-            abs_s = float(np.dot(probs, np.abs(totals)))
-            if abs(mean_spin) > 1e-12:
-                return False, f"{label} n={n}: E S = {mean_spin!r}"
-            if abs(s_chi - abs_s) > 1e-12:
-                return False, f"{label} n={n}: E(S chi) = {s_chi!r} != E|S| = {abs_s!r}"
-    return True, ""
-
-
-def _check_moments_vs_bruteforce():
-    for label, model in _models():
-        for n in (5, 8):
-            outcomes = _all_outcomes(n)
-            probs = np.array([pmf_exact(model, o) for o in outcomes])
-            totals = outcomes.sum(axis=1, dtype=np.int64)
-            law = state_law(model, n)
-            exact = (estimators.expected_margin_exact(model, n).value,
-                     law.abs_moment(power=2), law.prob_of(0))
-            brute = (probs @ np.abs(totals), probs @ totals**2, probs @ (totals == 0))
-            for name, b, e in zip(("E|S|", "E S^2", "P(S=0)"), brute, exact):
-                if abs(b - e) > 1e-9:
-                    return False, f"{label} n={n} {name}: {b!r} vs {e!r}"
-    for m in (3, 8, 40):
-        closed = 2 * m * math.comb(2 * m, m) / 4.0**m
-        exact = estimators.expected_margin_exact(Independent(), 2 * m).value
-        if abs(closed - exact) > 1e-9:
-            return False, f"central-binomial closed form broken at n={2*m}"
     return True, ""
 
 
@@ -257,13 +243,11 @@ def _check_field_map():
 
 CHECKS = (
     ("core.outcome_primitives", _check_outcome_primitives),
-    ("measures.pmf_structure", _check_pmf_structure),
+    ("measures.outcome_space", _check_outcome_space),
     ("measures.magnetization_enumeration", _check_magnetization_vs_enumeration),
     ("measures.field_map", _check_field_map),
     ("measures.sampler_inverse_cdf", _check_sampler_inverse_cdf),
     ("measures.moment_window", _check_moment_window),
-    ("weights.sign_identity", _check_sign_identity),
-    ("estimators.bruteforce_margins", _check_moments_vs_bruteforce),
     ("estimators.uniform_closed_form", _check_uniform_closed_form),
     ("meanfield.fixed_point", _check_fixed_point),
     ("weights.deficit_routes", _check_deficit_routes),

@@ -17,7 +17,7 @@ enumeration shows the deficit still decreasing there, and a single-voter
 state makes it obvious (w = E|S| = 1 gives zero deficit, w = 1/2 does not).
 
 The expansion needs three numbers per state: ``council_moments`` reads them
-from one ``measures.state_law`` per state into a ``MomentTable``, whose
+from one ``estimators.exact_law`` per state into a ``MomentTable``, whose
 margins are the optimal weights and on which every semi-exact route
 evaluates its closed form.
 The exact route enumerates the product of the states' yes-count laws, reading
@@ -37,7 +37,7 @@ from .core import (
     pooled_mean,
     signs,
 )
-from .measures import _enumeration_law, state_law, totals_sampler, validate_model
+from .measures import _enumeration_law, totals_sampler, validate_model
 
 SEMI_EXACT = "semi_exact"
 
@@ -159,23 +159,14 @@ def state_margin(state):
     return estimators.expected_margin_exact(state.model, state.population)
 
 
-def _checked_law(state):
-    """The state's ``state_law``, once the exact route takes it."""
-    estimators.check_exact_route(state.model, state.population)
-    return state_law(state.model, state.population)
-
-
 def state_second_moment(state):
-    """Exact E(S^2), read from the state's checked law."""
-    return _checked_law(state).abs_moment(power=2)
+    """Exact E(S^2), read from the state's ``exact_law``."""
+    return estimators.exact_law(state.model, state.population).abs_moment(power=2)
 
 
 def state_tie_probability(state):
-    """P(S = 0), read from the state's law; zero for odd populations, once
-    the exact route takes the state."""
-    model, n = state.model, state.population
-    estimators.check_exact_route(model, n)
-    return 0.0 if n % 2 else state_law(model, n).prob_of(0)
+    """P(S = 0), read from the state's ``exact_law``: zero at odd N."""
+    return estimators.exact_law(state.model, state.population).prob_of(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +201,7 @@ class MomentTable:
 
 def _state_moments(state):
     """(E|S|, E(S^2), P(S = 0)) of one state, all three from one law."""
-    law = _checked_law(state)
+    law = estimators.exact_law(state.model, state.population)
     return law.abs_moment(), law.abs_moment(power=2), law.prob_of(0)
 
 
@@ -368,9 +359,7 @@ class MinimizerReport:
 
     @property
     def ok(self):
-        return all(p.not_below for p in self.perturbations) and all(
-            v.within_tol for v in self.vertices
-        )
+        return not self.violations()
 
     def violations(self):
         return tuple(c for c in self.perturbations + self.vertices

@@ -25,6 +25,7 @@ from faircouncil import (
     UniformSymmetric,
     cli,
     estimators,
+    measures,
     optimal_weights,
 )
 from faircouncil.weights import council_moments
@@ -965,6 +966,59 @@ class TestBeyondTheFormerBudget:
         assert code == 2
         assert f"population {estimators.DEFAULT_POPULATION_BUDGET + 1} exceeds the exact-route budget" in err
         assert "Traceback" not in err
+
+
+class TestMeanFieldMonteCarloPastTheBudget:
+    """A mean-field sampler past the budget refuses before it builds its
+    window; independent and common-belief draws take any N."""
+
+    N = estimators.DEFAULT_POPULATION_BUDGET + 1
+    MESSAGE = f"mean-field population {N} exceeds the budget {estimators.DEFAULT_POPULATION_BUDGET}"
+
+    def test_budget_is_the_measures_one(self):
+        assert estimators.DEFAULT_POPULATION_BUDGET is measures.DEFAULT_POPULATION_BUDGET
+
+    def test_sampler_and_estimator_refuse(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            measures.totals_sampler(MeanField(0.5), self.N)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            estimators.expected_margin_mc(MeanField(0.5), self.N, 10, faircouncil.RngStream(1))
+
+    @pytest.mark.parametrize("cmd", [["delta", "--mode", "monte-carlo"], ["council-sim"]])
+    def test_council_commands_with_weights_exit_two(self, cmd, tmp_path, capsys):
+        text = json.dumps({"states": [
+            {"name": "a", "population": 3, "model": {"type": "independent"}},
+            {"name": "big", "population": self.N,
+             "model": {"type": "mean_field", "coupling": 0.5}}]})
+        code, _, err = run([*cmd, "--config", _council_file(tmp_path, text),
+                            "--weights", "1,1", "--trials", "10"], capsys)
+        assert code == 2
+        assert self.MESSAGE in err and "Traceback" not in err
+
+    def test_margin_exits_two(self, capsys):
+        base = ["margin", "--model", "mean-field", "--J", "0.5", "--N", str(self.N)]
+        code, _, err = run([*base, "--method", "monte-carlo", "--trials", "10"], capsys)
+        assert code == 2 and self.MESSAGE in err
+        # the exact route keeps its own message
+        code, _, err = run(base, capsys)
+        assert code == 2 and "exceeds the exact-route budget" in err
+
+    @pytest.mark.parametrize("model", [["--model", "independent"],
+                                       ["--model", "common-belief", "--belief", "uniform", "--a", "0.5"]])
+    def test_mixtures_draw_past_the_budget(self, model, capsys):
+        code, _, err = run(["margin", *model, "--N", str(10**12), "--method", "monte-carlo",
+                            "--trials", "10"], capsys)
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("args", [
+    ["solve-cj", "--J", "20"],
+    ["margin", "--method", "asymptotic", "--model", "mean-field", "--J", "20", "--N", "1000"],
+    ["scaling", "--method", "asymptotic", "--model", "mean-field", "--J", "25"],
+], ids=["solve-cj", "margin", "scaling"])
+def test_saturated_coupling_exits_zero(args, capsys):
+    code, _, err = run(args, capsys)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("suffix", ["", ".meta.json"])

@@ -48,6 +48,14 @@ class TestSolveCj:
         with pytest.raises(SubcriticalCouplingError):
             solve_cj(coupling)
 
+    @pytest.mark.parametrize("coupling", [20.0, 1e300])
+    def test_saturated_coupling(self, coupling):
+        # tanh(J) rounds to 1 above J ~ 18.7, so the bracket closes at f(1) = 0
+        c, residual, iterations = solve_cj(coupling, full_output=True)
+        assert abs(c - 1.0) <= 1e-15
+        assert abs(residual) <= 1e-12
+        assert iterations >= 50
+
     def test_full_output(self):
         c, residual, iterations = solve_cj(3.0, full_output=True)
         assert abs(residual) <= 1e-12

@@ -59,3 +59,15 @@ def test_budget_sentence_names_the_budget():
 def test_vote_share_sentence_names_the_cap():
     stated = re.search(r"`vote_share_law` refuses\s+`N > ([0-9e.]+)`", README).group(1)
     assert float(stated) == commonbelief.VOTE_SHARE_MAX_N
+
+
+def test_special_sentence_names_what_the_accessor_serves():
+    sentence = re.search(r"`measures\._special\(\)`;(.*?)all go through it", README, re.S).group(1)
+    sentence = " ".join(sentence.split())
+    named = set(re.findall(r"`(\w+)`", sentence))
+    if "the Boost ufuncs" in sentence:
+        named.add("_ufuncs")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "faircouncil"
+    read = {name for path in src.glob("*.py")
+            for name in re.findall(r"_special\(\)\.(\w+)", path.read_text())}
+    assert named == read

@@ -490,3 +490,33 @@ def test_every_moment_reader_checks_the_budget(model, extra):
         with pytest.raises(ValueError) as got:
             reader(big)
         assert str(got.value) == str(expected.value)
+
+
+def test_a_coupling_without_a_law_raises_in_every_reader():
+    # at odd N the tie is 0.0, but only once the state has a law
+    state = StateSpec("x", 1001, MeanField(1e308))
+    with pytest.raises(ValueError) as expected:
+        state_margin(state)
+    readers = (state_second_moment, state_tie_probability,
+               lambda s: council_moments(CouncilSpec([("a", 3, Independent()), s])))
+    for reader in readers:
+        with pytest.raises(ValueError) as got:
+            reader(state)
+        assert str(got.value) == str(expected.value)
+
+
+def test_every_exact_reader_goes_through_exact_law(monkeypatch):
+    real, calls = estimators.exact_law, []
+
+    def counted(model, n):
+        calls.append((model, n))
+        return real(model, n)
+
+    monkeypatch.setattr(estimators, "exact_law", counted)
+    state = StateSpec("a", 1000, MeanField(0.5))
+    estimators.expected_margin_exact(state.model, state.population)
+    state_second_moment(state)
+    state_tie_probability(state)
+    weights._state_moments(state)
+    council_moments(CouncilSpec([state]))
+    assert calls == [(state.model, state.population)] * 5
