@@ -2,7 +2,8 @@
 
 Every operation in the library is exposed as a subcommand with
 machine-readable output (CSV or JSON lines, numbers at 12 significant
-digits), which each subcommand returns and ``main`` alone writes. Runs are
+digits), which each subcommand returns and ``main`` alone writes; the
+columns are the rows' keys, in the first row's order. Runs are
 deterministic: the seed and worker count are part of the resolved
 configuration, echoed as one JSON line to a separate metadata file along
 with the only timestamp, so rerunning a command with the same
@@ -68,9 +69,7 @@ def fmt12(value):
 
 
 def _round12(value):
-    if isinstance(value, float):
-        return float(format(value, ".12g"))
-    return value
+    return float(fmt12(value)) if isinstance(value, float) else value
 
 
 # --------------------------------------------------------------------------
@@ -155,10 +154,13 @@ def _convert(key, value, convert):
         raise UsageError(f"invalid {key} {value!r}: {exc}") from exc
 
 
-def _setting(flag, cfg, key, convert, default=None):
+def _setting(flag, cfg, key, convert, default=None, missing=None):
     """The flag if given, else config ``key``, else ``default``, where a JSON
-    null counts as absent; a value that ``convert`` rejects exits 1."""
+    null counts as absent; a value that ``convert`` rejects exits 1, and so
+    does an absent one where ``missing`` gives the message."""
     value = flag if flag is not None else cfg.get(key)
+    if value is None and missing:
+        raise UsageError(missing)
     return default if value is None else _convert(key, value, convert)
 
 
@@ -295,19 +297,35 @@ def _model_from_args(args, cfg):
                         "belief": _belief_spec(args, cfg)})
 
 
-def _family(args, cfg):
+def _family(args, cfg, resolved):
     """The Straffin family a_N = c N^(-beta) from --c/--beta over the
-    config's 'family' entry."""
+    config's 'family' entry, recorded in ``resolved``."""
     fam = {} if cfg.get("family") is None else cfg["family"]
     if not isinstance(fam, dict) or fam.get("type", "straffin") != "straffin":
         raise UsageError(f"config 'family' must be a straffin family object, got {fam!r}")
-    beta = _setting(args.beta, fam, "beta", float)
-    if beta is None:
-        raise UsageError("the straffin family needs --beta")
+    beta = _setting(args.beta, fam, "beta", float, missing="the straffin family needs --beta")
     try:
-        return StraffinFamily(_setting(args.c, fam, "c", float, 1.0), beta)
+        family = StraffinFamily(_setting(args.c, fam, "c", float, 1.0), beta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    resolved["family"] = {"type": "straffin", "c": family.c, "beta": family.beta}
+    return family
+
+
+def _council(args, cfg, resolved):
+    """The config's council, --quota over its 'quota', recorded in ``resolved``."""
+    council = parse_council(cfg, args.quota)
+    resolved["council"] = council_to_config(council)
+    return council
+
+
+def _route(args, cfg, key, default, *routes):
+    """The route that --KEY names over the config's KEY, one of ``routes``;
+    the Monte Carlo route needs 2 trials for a standard error."""
+    route = _setting(getattr(args, key), cfg, key, _name(*routes), default)
+    if route == MONTE_CARLO:
+        _require_trials(args, 2)
+    return route
 
 
 # --------------------------------------------------------------------------
@@ -315,25 +333,26 @@ def _family(args, cfg):
 # --------------------------------------------------------------------------
 
 
-def _render_rows(fieldnames, rows, fmt):
-    """Rows to bytes: RFC-4180 CSV ('.' decimals, fixed column order) or
-    JSON lines, numbers at 12 significant digits either way."""
+def _render_rows(rows, fmt):
+    """Rows to bytes: RFC-4180 CSV ('.' decimals, the first row's keys as
+    the columns, in order) or JSON lines, numbers at 12 significant digits
+    either way."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(fieldnames)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([fmt12(row[name]) for name in fieldnames])
+            writer.writerow([fmt12(row[name]) for name in rows[0]])
         return buf.getvalue()
     lines = [
-        json.dumps({name: _round12(row[name]) for name in fieldnames}, sort_keys=True)
+        json.dumps({name: _round12(value) for name, value in row.items()}, sort_keys=True)
         for row in rows
     ]
     return "".join(line + "\n" for line in lines)
 
 
-def _emit(args, resolved, fieldnames, rows, summary_lines=()):
-    data = _render_rows(fieldnames, rows, args.format)
+def _emit(args, resolved, rows, summary_lines=()):
+    data = _render_rows(rows, args.format)
     summary = "".join(line + "\n" for line in summary_lines)
     meta = json.dumps({
         "subcommand": resolved["subcommand"],
@@ -393,9 +412,8 @@ def _require_trials(args, least):
 
 
 def _cmd_weights(args, cfg, resolved):
-    council = parse_council(cfg, args.quota)
+    council = _council(args, cfg, resolved)
     wv = optimal_weights(council)
-    resolved["council"] = council_to_config(council)
     rows = [
         {
             "state": s.name,
@@ -407,18 +425,13 @@ def _cmd_weights(args, cfg, resolved):
         }
         for s, m, raw, norm in zip(council.states, wv.margins, wv.values, wv.normalized)
     ]
-    fields = ["state", "population", "model", "expected_margin", "weight_raw", "weight_normalized"]
-    return fields, rows
+    return (rows,)
 
 
 def _cmd_margin(args, cfg, resolved):
     model = _model_from_args(args, cfg)
-    n = _setting(args.N, cfg, "population", _whole(1))
-    if n is None:
-        raise UsageError("margin needs --N")
-    method = _setting(args.method, cfg, "method", _name(EXACT, MONTE_CARLO, ASYMPTOTIC), EXACT)
-    if method == MONTE_CARLO:
-        _require_trials(args, 2)
+    n = _setting(args.N, cfg, "population", _whole(1), missing="margin needs --N")
+    method = _route(args, cfg, "method", EXACT, EXACT, MONTE_CARLO, ASYMPTOTIC)
     resolved.update({"model": model_to_config(model), "population": n, "method": method})
     est = estimators.expected_margin(
         model, n, method=method, samples=args.trials,
@@ -432,41 +445,33 @@ def _cmd_margin(args, cfg, resolved):
         "std_error": est.std_error,
         "samples": est.samples,
     }]
-    return ["model", "N", "method", "value", "std_error", "samples"], rows
+    return (rows,)
 
 
 def _cmd_delta(args, cfg, resolved):
-    council = parse_council(cfg, args.quota)
-    mode = _setting(args.mode, cfg, "mode", _name(EXACT, SEMI_EXACT, MONTE_CARLO), SEMI_EXACT)
-    if mode == MONTE_CARLO:
-        _require_trials(args, 2)
+    council = _council(args, cfg, resolved)
+    mode = _route(args, cfg, "mode", SEMI_EXACT, EXACT, SEMI_EXACT, MONTE_CARLO)
     w, weight_source, table = _council_weights(args, cfg, council)
     if table is not None and mode == SEMI_EXACT:
         est = table.deficit(w)
     else:
         est = delta_op(council, w, mode=mode, trials=args.trials,
                        rng=RngStream(args.seed), workers=args.workers)
-    resolved.update({
-        "mode": mode,
-        "weights": w,
-        "weight_source": weight_source,
-        "council": council_to_config(council),
-    })
+    resolved.update({"mode": mode, "weights": w, "weight_source": weight_source})
     rows = [{"mode": est.method, "value": est.value, "std_error": est.std_error,
              "trials": est.trials}]
-    return ["mode", "value", "std_error", "trials"], rows
+    return (rows,)
 
 
 def _cmd_scaling(args, cfg, resolved):
     grid = _setting(args.grid, cfg, "grid", parse_grid, parse_grid("256:16384:x2"))
-    method = _setting(args.method, cfg, "method", _name(EXACT, MONTE_CARLO, ASYMPTOTIC), EXACT)
-    if method == MONTE_CARLO:
-        _require_trials(args, 2)
+    if len(grid) < meanfield.MIN_FIT_POINTS:
+        raise UsageError(f"scaling needs {meanfield.MIN_FIT_POINTS} populations, got {grid}")
+    method = _route(args, cfg, "method", EXACT, EXACT, MONTE_CARLO, ASYMPTOTIC)
     name = _setting(args.model, cfg, "model_name", _name())
     if name == "straffin" or name is None and (args.beta is not None or cfg.get("family") is not None):
-        family = _family(args, cfg)
+        family = _family(args, cfg, resolved)
         model_family = lambda n: CommonBelief(family(n))
-        resolved["family"] = {"type": "straffin", "c": family.c, "beta": family.beta}
     else:
         model = _model_from_args(args, cfg)
         model_family = lambda n: model
@@ -475,24 +480,15 @@ def _cmd_scaling(args, cfg, resolved):
     fit = meanfield.scaling_fit(model_family, grid, estimator_mode=method,
                                 samples=args.trials, rng=RngStream(args.seed),
                                 workers=args.workers)
+    fitted = {"alpha": fit.exponent, "log_prefactor": fit.log_prefactor,
+              "r_squared": fit.r_squared}
+    resolved["fit"] = {key: _round12(value) for key, value in fitted.items()}
     rows = [{"N": n, "expected_margin": m} for n, m in fit.grid]
-    summary = [
-        f"alpha = {fmt12(fit.exponent)}",
-        f"log_prefactor = {fmt12(fit.log_prefactor)}",
-        f"r_squared = {fmt12(fit.r_squared)}",
-    ]
-    resolved["fit"] = {
-        "alpha": _round12(fit.exponent),
-        "log_prefactor": _round12(fit.log_prefactor),
-        "r_squared": _round12(fit.r_squared),
-    }
-    return ["N", "expected_margin"], rows, summary
+    return rows, [f"{key} = {fmt12(value)}" for key, value in fitted.items()]
 
 
 def _cmd_solve_cj(args, cfg, resolved):
-    coupling = _setting(args.J, cfg, "coupling", float)
-    if coupling is None:
-        raise UsageError("solve-cj needs --J")
+    coupling = _setting(args.J, cfg, "coupling", float, missing="solve-cj needs --J")
     resolved["coupling"] = coupling
     c, residual, iterations = meanfield.solve_cj(coupling, full_output=True)
     rows = [{"J": coupling, "C": c, "residual": residual, "iterations": iterations}]
@@ -501,35 +497,28 @@ def _cmd_solve_cj(args, cfg, resolved):
         f"residual = {fmt12(residual)}",
         f"iterations = {iterations}",
     ]
-    return ["J", "C", "residual", "iterations"], rows, summary
+    return rows, summary
 
 
 def _cmd_regime(args, cfg, resolved):
-    family = _family(args, cfg)
+    family = _family(args, cfg, resolved)
     epsilon = _setting(args.epsilon, cfg, "epsilon", float, 0.1)
     grid = _setting(args.grid, cfg, "grid", parse_grid, parse_grid("256:16384:x2"))
     try:
         report = classify_regime(family, epsilon, grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    resolved.update({
-        "family": {"type": "straffin", "c": family.c, "beta": family.beta},
-        "epsilon": epsilon,
-        "grid": grid,
-        "verdict": report.verdict,
-        "decay_exponent": _round12(report.decay_exponent),
-        "weight_exponent": _round12(report.weight_exponent),
-    })
+    found = {"verdict": report.verdict, "decay_exponent": report.decay_exponent,
+             "weight_exponent": report.weight_exponent}
+    resolved.update({"epsilon": epsilon, "grid": grid})
+    resolved.update({key: _round12(value) for key, value in found.items()})
     rows = [
         {"N": n, "a_N": family.half_width(n), "mu_bar": m}
         for n, m in report.grid
     ]
-    summary = [
-        f"verdict = {report.verdict}",
-        f"decay_exponent = {fmt12(report.decay_exponent)}",
-        f"weight_exponent = {fmt12(report.weight_exponent) if report.weight_exponent is not None else 'undetermined'}",
-    ]
-    return ["N", "a_N", "mu_bar"], rows, summary
+    summary = [f"{key} = {'undetermined' if value is None else fmt12(value)}"
+               for key, value in found.items()]
+    return rows, summary
 
 
 def _cmd_distribution(args, cfg, resolved):
@@ -562,21 +551,16 @@ def _cmd_distribution(args, cfg, resolved):
             "sandwich_gap": bound_report.sandwich_gap,
             "bound": bound_report.bound,
         })
-    return ["N", "wasserstein_distance", "sandwich_gap", "bound"], rows
+    return (rows,)
 
 
 def _cmd_council_sim(args, cfg, resolved):
     _require_trials(args, 1)
-    council = parse_council(cfg, args.quota)
+    council = _council(args, cfg, resolved)
     w, weight_source, _ = _council_weights(args, cfg, council)
     if any(v < 0.0 for v in w):
         raise UsageError(f"council weights must be >= 0, got {w}")
-    resolved.update({
-        "weights": w,
-        "weight_source": weight_source,
-        "quota": council.quota,
-        "council": council_to_config(council),
-    })
+    resolved.update({"weights": w, "weight_source": weight_source, "quota": council.quota})
     result = council_mod.simulate(council, w, args.trials, RngStream(args.seed),
                                   workers=args.workers)
     rows = [
@@ -591,13 +575,12 @@ def _cmd_council_sim(args, cfg, resolved):
     for state, rate in zip(council.states, result.per_state_yes_rates):
         rows.append({"metric": "yes_rate", "state": state.name, "value": rate,
                      "std_error": 0.0})
-    return ["metric", "state", "value", "std_error"], rows
+    return (rows,)
 
 
 def _cmd_compare_rules(args, cfg, resolved):
     _require_trials(args, 1)
-    council = parse_council(cfg, args.quota)
-    resolved["council"] = council_to_config(council)
+    council = _council(args, cfg, resolved)
     rows_out = []
     for row in council_mod.compare_weight_rules(council, args.trials, RngStream(args.seed),
                                                 workers=args.workers):
@@ -611,9 +594,7 @@ def _cmd_compare_rules(args, cfg, resolved):
             "disagreement_rate": row.simulation.disagreement_rate,
             "disagreement_std_error": row.simulation.disagreement_std_error,
         })
-    fields = ["rule", "scale", "weights", "delta_semi_exact", "delta_mc",
-              "delta_mc_std_error", "disagreement_rate", "disagreement_std_error"]
-    return fields, rows_out
+    return (rows_out,)
 
 
 def _cmd_selftest():

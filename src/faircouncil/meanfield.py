@@ -16,6 +16,9 @@ from .core import ASYMPTOTIC, EXACT, MarginEstimate, check_population
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
+#: A power-law fit needs this many distinct populations.
+MIN_FIT_POINTS = 3
+
 _BRACKET_FLOOR = 1e-8
 _RESIDUAL_TOL = 1e-12
 
@@ -100,8 +103,8 @@ def fit_power_law(ns, values):
     """Ordinary least squares of log(value) on log(N)."""
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
-    if ns.size < 3 or np.unique(ns).size < 3:
-        raise ValueError("power-law fit needs at least 3 distinct grid points")
+    if np.unique(ns).size < MIN_FIT_POINTS:
+        raise ValueError(f"power-law fit needs at least {MIN_FIT_POINTS} distinct grid points")
     if np.any(values <= 0.0):
         raise ValueError("power-law fit needs positive values")
     x = np.log(ns)

@@ -238,6 +238,25 @@ class TestScalingCommand:
              "--grid", "256:2048:x2"], capsys)
         assert code == 0
 
+    def test_grid_too_short_to_fit_exits_one_before_any_margin(self, tmp_path, capsys,
+                                                               monkeypatch):
+        calls = []
+        expected_margin = estimators.expected_margin
+        monkeypatch.setattr(estimators, "expected_margin",
+                            lambda *a, **k: calls.append(a) or expected_margin(*a, **k))
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"model": {"type": "independent"}, "grid": "100:100:x2"}))
+        for args in (["--model", "independent", "--grid", "100:200:+100"], ["--config", str(cfg)]):
+            code, out, err = run(["scaling", *args], capsys)
+            assert code == 1
+            assert err.startswith("error: scaling needs 3 populations")
+        assert calls == []
+
+    def test_critical_coupling_asymptotic_still_exits_two(self, capsys):
+        code, out, err = run(["scaling", "--method", "asymptotic", "--model", "mean-field",
+                              "--J", "1"], capsys)
+        assert code == 2
+
 
 class TestRegimeCommand:
     def test_verdict_in_output(self, capsys):

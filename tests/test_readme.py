@@ -2,6 +2,7 @@
 it claims, and every command-line example, flag and subcommand it names
 parses with the current parser."""
 
+import json
 import pathlib
 import re
 import shlex
@@ -42,6 +43,43 @@ def test_cli_example_parses(line):
 def test_subcommand_table_names_every_subcommand():
     named = re.findall(r"^\| `([a-z][a-z-]*)` \|", README, re.M)
     assert set(named) == set(cli._COMMANDS)
+
+
+#: One small config that every data subcommand reads: a council, a
+#: common-belief model at one population, a Straffin family and a short grid.
+SMALL_CONFIG = {
+    "states": [{"name": "a", "population": 3, "model": {"type": "independent"}},
+               {"name": "b", "population": 5, "model": {"type": "mean_field", "coupling": 0.5}}],
+    "model": {"type": "common_belief", "belief": {"type": "uniform", "a": 0.5}},
+    "population": 101,
+    "coupling": 1.5,
+    "family": {"type": "straffin", "beta": 0.25},
+    "grid": "100:400:x2",
+    "trials": 200,
+}
+
+#: subcommand -> the "data columns" cell's first code span
+DATA_COLUMNS = dict(re.findall(r"^\| `([a-z][a-z-]*)` \|[^|]*\| `([^`]*)`", README, re.M))
+
+
+@pytest.mark.parametrize("subcommand", sorted(set(cli._COMMANDS) - {"selftest"}))
+def test_subcommand_table_names_the_columns_written(subcommand, tmp_path, capsys):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    written = {}
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"data.{fmt}"
+        assert cli.main([subcommand, "--config", str(config), "--format", fmt,
+                         "--out", str(out)]) == 0, capsys.readouterr().err
+        written[fmt] = out.read_text().splitlines()
+    columns = written["csv"][0].split(",")
+    named = DATA_COLUMNS[subcommand].split(",")
+    if named[-1] == "...":
+        named = named[:-1]
+        assert columns[:len(named)] == named
+    else:
+        assert columns == named
+    assert all(set(json.loads(line)) == set(columns) for line in written["jsonl"])
 
 
 def test_flag_table_names_only_parser_flags():

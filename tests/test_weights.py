@@ -480,7 +480,8 @@ def test_state_margin_is_exact_up_to_the_budget():
 @pytest.mark.parametrize("model", [Independent(), MeanField(0.5),
                                    CommonBelief(UniformSymmetric(9e-4))])
 def test_every_moment_reader_checks_the_budget(model, extra):
-    # the even population checks the tie's law, the odd one its 0.0 shortcut
+    # odd (extra 1) and even (extra 2) populations alike, every reader goes
+    # through estimators.exact_law, which refuses a population past the budget
     big = StateSpec("big", estimators.DEFAULT_POPULATION_BUDGET + extra, model)
     with pytest.raises(ValueError) as expected:
         state_margin(big)
